@@ -15,12 +15,12 @@ GO ?= go
 # Per-target fuzzing budget for `make fuzz` (the CI smoke uses the same).
 FUZZTIME ?= 30s
 
-# The perf-trajectory benchmarks: the FP-Growth and Eclat mining kernels,
-# the Fig 3/4 pipelines they feed, the arena simulation kernel behind
+# The perf-trajectory benchmarks: the Eclat mining kernel, the Fig 3/4
+# pipelines it feeds, the arena simulation kernel behind
 # them, and the build-once corpus index (build cost, warm-index queries,
 # and the cold-mine point they beat) — see ISSUE/DESIGN "Performance
 # architecture" and DESIGN.md §12.
-BENCH_PATTERN := FPGrowth|Eclat|MineAuto|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites
+BENCH_PATTERN := Eclat|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWarmIndex|MineColdSecondPoint|LiveAppend|MineWarmUnderWrites
 
 # The simulation benchmarks whose allocs/op are hard-gated in CI:
 # allocation counts are deterministic, so this subset can fail the build

@@ -199,12 +199,7 @@ func cmdMine(args []string) error {
 	support := cf.fs.Float64("support", 0.05, "minimum support")
 	top := cf.fs.Int("top", 25, "number of combinations to print")
 	categories := cf.fs.Bool("categories", false, "mine category combinations")
-	kernelName := cf.fs.String("kernel", "auto", "mining kernel: auto, fpgrowth, eclat or apriori")
 	if err := cf.fs.Parse(args); err != nil {
-		return err
-	}
-	kernel, err := itemset.ParseKernel(*kernelName)
-	if err != nil {
 		return err
 	}
 	corpus, err := cf.corpus()
@@ -220,13 +215,12 @@ func cmdMine(args []string) error {
 		txs = view.CategoryTransactions()
 	}
 	// Build the view's index once, then mine it: the one-off CLI path
-	// exercises the same build+query split the server and pipelines use,
-	// and the auto kernel choice reads the index's true stats.
+	// exercises the same build+query split the server and pipelines use.
 	ix, err := itemset.BuildIndex(txs)
 	if err != nil {
 		return err
 	}
-	res, err := itemset.MineIndexed(ix, *support, itemset.MineOptions{Kernel: kernel})
+	res, err := itemset.MineIndexed(ix, *support, itemset.MineOptions{})
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 //	internal/recipe     — corpus store, views, serialization
 //	internal/synth      — calibrated synthetic corpus generator
 //	internal/overrep    — Eq 1 overrepresentation metric
-//	internal/itemset    — Apriori and FP-Growth frequent-itemset mining
+//	internal/itemset    — Eclat frequent-itemset mining and the corpus index
 //	internal/rankfreq   — rank-frequency distributions and Eq 2
 //	internal/catprofile — Fig 2 category composition
 //	internal/evomodel   — Algorithm 1 and the model ensemble runner
@@ -193,9 +193,8 @@ func Overrepresented(c *Corpus, region string, k int) ([]RankedIngredient, error
 // MineCombinations mines the frequent ingredient combinations (size >= 1,
 // support >= minSupport) of a cuisine, per the paper's §IV. The view's
 // prebuilt index is cached across calls, so re-mining the same cuisine
-// at another threshold skips straight to the query phase; the mining
-// kernel is selected adaptively from the index's stats. See
-// itemset.Mine and itemset.MineIndexed for explicit kernel control.
+// at another threshold skips straight to the query phase. See
+// itemset.MineIndexed for the mining kernel behind it.
 func MineCombinations(c *Corpus, region string, minSupport float64) (*MiningResult, error) {
 	ix, err := viewIndex(c, region, false)
 	if err != nil {

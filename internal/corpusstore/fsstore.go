@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"cuisinevol/internal/atomicfile"
 )
 
 // FSStore is the durable Store: corpus payloads live as
@@ -143,47 +145,6 @@ func (s *FSStore) quarantine(id string) {
 	s.quarantined = append(s.quarantined, id)
 }
 
-// writeAtomic writes data to path via a temp file in the same
-// directory: write, fsync, rename, fsync directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	// Some platforms (and some filesystems) refuse to fsync a
-	// directory; the rename itself is still atomic there, so the error
-	// is not worth failing the write over.
-	_ = d.Sync()
-	return nil
-}
-
 // writeManifestLocked persists the current entries; callers hold s.mu.
 func (s *FSStore) writeManifestLocked() error {
 	infos := make([]Info, 0, len(s.entries))
@@ -195,7 +156,7 @@ func (s *FSStore) writeManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("corpusstore: encoding manifest: %w", err)
 	}
-	if err := writeAtomic(s.manifestPath(), append(raw, '\n')); err != nil {
+	if err := atomicfile.WriteFile(s.manifestPath(), ".tmp-*", append(raw, '\n')); err != nil {
 		return fmt.Errorf("corpusstore: writing manifest: %w", err)
 	}
 	return nil
@@ -218,7 +179,7 @@ func (s *FSStore) Put(info Info, data []byte) error {
 		return fmt.Errorf("%w: %d bytes would exceed the %d-byte store budget",
 			ErrTooLarge, info.Bytes, s.budget)
 	}
-	if err := writeAtomic(s.payloadPath(info.ID), data); err != nil {
+	if err := atomicfile.WriteFile(s.payloadPath(info.ID), ".tmp-*", data); err != nil {
 		return fmt.Errorf("corpusstore: writing corpus %s: %w", info.ID, err)
 	}
 	s.entries[info.ID] = info

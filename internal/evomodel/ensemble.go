@@ -26,10 +26,6 @@ type EnsembleConfig struct {
 	Categories bool
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Kernel selects the mining kernel each replicate mine uses;
-	// itemset.KernelAuto (the zero value) picks the cheaper one per
-	// replicate corpus. Results are kernel-independent.
-	Kernel itemset.Kernel
 	// Label annotates the aggregated distribution (defaults to the model
 	// kind's abbreviation).
 	Label string
@@ -156,7 +152,7 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	} else {
 		txs = m.emitTransactions()
 	}
-	res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+	res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{})
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}

@@ -16,7 +16,7 @@
 // runs), and the evolve→mine boundary emits sorted transactions directly
 // into machine-owned packed buffers. The kernel is pinned byte-for-byte
 // against the retained per-recipe-slice reference implementation (see
-// reference.go and the differential tests): every RNG draw happens in
+// reference_test.go and the differential tests): every RNG draw happens in
 // the same order, so outputs are identical at every seed.
 package evomodel
 

@@ -1,9 +1,9 @@
 package evomodel
 
 // Differential tests pinning the arena kernel byte-for-byte against the
-// retained reference implementation (reference.go) on randomized
-// parameters — the same cross-kernel proof pattern the itemset package
-// uses for FP-Growth vs Eclat. Because consecutive Run calls on one
+// retained reference implementation (reference_test.go) on randomized
+// parameters — the same proof pattern the itemset package uses for
+// Eclat vs its Apriori oracle. Because consecutive Run calls on one
 // goroutine recycle the same pooled machine, every iteration of these
 // loops also exercises reset-after-reuse across differing parameter
 // shapes; any state leaking between runs shows up as a divergence from
@@ -150,7 +150,7 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 		if cfg.Categories {
 			txs = toCategoryTransactions(txs, lex)
 		}
-		res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{Kernel: cfg.Kernel})
+		res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{})
 		if err != nil {
 			t.Fatalf("reference replicate %d: %v", rep, err)
 		}

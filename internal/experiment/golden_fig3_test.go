@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"cuisinevol/internal/cuisine"
 	"cuisinevol/internal/itemset"
+	"cuisinevol/internal/rankfreq"
+	"cuisinevol/internal/recipe"
 )
 
 // goldenFig3Path is the committed Fig 3 reference, relative to this
@@ -53,15 +57,14 @@ type goldenFig3Doc struct {
 	Categories  goldenFig3Panel `json:"categories"`
 }
 
-// computeGoldenFig3Bytes runs the Fig 3 pipeline with the given mining
-// kernel and worker budget and renders the document in canonical byte
-// form. Every (kernel, workers) combination must yield identical bytes.
-func computeGoldenFig3Bytes(t *testing.T, kernel itemset.Kernel, workers int) []byte {
+// computeGoldenFig3Bytes runs the Fig 3 pipeline with the given worker
+// budget and renders the document in canonical byte form. Every worker
+// budget must yield identical bytes.
+func computeGoldenFig3Bytes(t *testing.T, workers int) []byte {
 	t.Helper()
 	cfg := DefaultConfig(42)
 	cfg.RecipeScale = 0.05
 	cfg.Workers = workers
-	cfg.Kernel = kernel
 	res, err := RunFig3(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +96,11 @@ func computeGoldenFig3Bytes(t *testing.T, kernel itemset.Kernel, workers int) []
 
 // TestGoldenFig3 pins the Fig 3a/3b rank-frequency curves and Eq 2
 // summaries to the committed reference byte for byte: any drift in the
-// corpus, the mining kernels or the rank-frequency normalization fails
-// here first. Run with -update to bless an intentional change.
+// corpus, the mining kernel or the rank-frequency normalization fails
+// here first. Its corpus is the one internal/itemset's
+// TestDifferentialSynthCorpus mines against the Apriori oracle. Run with -update to bless an intentional change.
 func TestGoldenFig3(t *testing.T) {
-	got := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0)
+	got := computeGoldenFig3Bytes(t, 0)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenFig3Path), 0o755); err != nil {
 			t.Fatal(err)
@@ -138,26 +142,57 @@ func TestGoldenFig3(t *testing.T) {
 }
 
 // TestGoldenFig3StableAcrossKernelsAndParallelism recomputes the Fig 3
-// document under every explicit mining kernel, several worker budgets
-// and GOMAXPROCS=1, asserting the bytes never move. This is the
-// pipeline-level counterpart of internal/itemset's differential tests:
-// kernel selection and scheduling are performance knobs, never output
-// knobs.
+// document under several worker budgets and GOMAXPROCS=1, asserting the
+// bytes never move, and re-mines every view the pipeline mined through
+// its indexes with raw itemset.Mine, asserting the curves agree. This
+// is the pipeline-level counterpart of internal/itemset's differential
+// tests: the mining path and scheduling are performance choices, never
+// output choices.
 func TestGoldenFig3StableAcrossKernelsAndParallelism(t *testing.T) {
-	base := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0)
-	for _, kernel := range []itemset.Kernel{itemset.KernelFPGrowth, itemset.KernelEclat, itemset.KernelApriori} {
-		if got := computeGoldenFig3Bytes(t, kernel, 0); !bytes.Equal(base, got) {
-			t.Fatalf("kernel %v changed the output", kernel)
-		}
-	}
+	base := computeGoldenFig3Bytes(t, 0)
 	for _, workers := range []int{1, 2, 8} {
-		if got := computeGoldenFig3Bytes(t, itemset.KernelEclat, workers); !bytes.Equal(base, got) {
-			t.Fatalf("kernel eclat with Workers=%d changed the output", workers)
+		if got := computeGoldenFig3Bytes(t, workers); !bytes.Equal(base, got) {
+			t.Fatalf("Workers=%d changed the output", workers)
 		}
 	}
+
+	cfg := DefaultConfig(42)
+	cfg.RecipeScale = 0.05
+	res, err := RunFig3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := cfg.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make([]recipe.View, 0, len(cuisine.All())+1)
+	for _, c := range cuisine.All() {
+		views = append(views, corpus.Region(c.Code))
+	}
+	views = append(views, corpus.AllView())
+	for _, p := range []struct {
+		panel      Fig3Panel
+		categories bool
+	}{{res.Ingredients, false}, {res.Categories, true}} {
+		for i, view := range views {
+			txs := view.Transactions()
+			if p.categories {
+				txs = view.CategoryTransactions()
+			}
+			raw, err := itemset.Mine(txs, 0.05, itemset.MineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.panel.Dists[i].Freqs; !reflect.DeepEqual(got, rankfreq.FromResult("", raw).Freqs) {
+				t.Fatalf("view %d (categories=%v): indexed pipeline curve differs from raw Mine", i, p.categories)
+			}
+		}
+	}
+
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	if got := computeGoldenFig3Bytes(t, itemset.KernelAuto, 0); !bytes.Equal(base, got) {
+	if got := computeGoldenFig3Bytes(t, 0); !bytes.Equal(base, got) {
 		t.Fatal("GOMAXPROCS=1 changed the output")
 	}
 }

@@ -50,56 +50,23 @@ func sortIDs(xs []ingredient.ID) {
 	}
 }
 
-// BenchmarkFPGrowthReplicatePool is the replicate-mining benchmark: one
-// FP-Growth invocation over a duplicate-heavy model-generated pool, the
-// hot path of the Fig 4 pipeline.
-func BenchmarkFPGrowthReplicatePool(b *testing.B) {
-	txs := replicatePool(7, 30, 3000, 9, 300)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(txs, 0.05); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFPGrowthReplicateSweep mines many replicate pools back to
-// back, the steady-state regime the ensemble workers run in (scratch
-// reuse across mines is what this measures).
-func BenchmarkFPGrowthReplicateSweep(b *testing.B) {
-	pools := make([][][]ingredient.ID, 16)
-	for i := range pools {
-		pools[i] = replicatePool(uint64(i+1), 30, 1500, 9, 300)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, txs := range pools {
-			if _, err := FPGrowth(txs, 0.05); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkEclatReplicatePool is BenchmarkFPGrowthReplicatePool on the
-// vertical bitset kernel — the direct kernel-vs-kernel comparison on
-// the Fig 4 hot-path shape.
+// BenchmarkEclatReplicatePool is the replicate-mining benchmark: one
+// raw mine over a duplicate-heavy model-generated pool, the hot path of
+// the Fig 4 pipeline.
 func BenchmarkEclatReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Eclat(txs, 0.05); err != nil {
+		if _, err := Mine(txs, 0.05, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEclatReplicateSweep mirrors BenchmarkFPGrowthReplicateSweep:
-// many replicate pools back to back, measuring bitmap/scratch reuse
-// through the kernel pool.
+// BenchmarkEclatReplicateSweep mines many replicate pools back to back,
+// the steady-state regime the ensemble workers run in: it measures
+// bitmap/scratch reuse through the kernel pool.
 func BenchmarkEclatReplicateSweep(b *testing.B) {
 	pools := make([][][]ingredient.ID, 16)
 	for i := range pools {
@@ -109,7 +76,7 @@ func BenchmarkEclatReplicateSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, txs := range pools {
-			if _, err := Eclat(txs, 0.05); err != nil {
+			if _, err := Mine(txs, 0.05, MineOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,21 +90,7 @@ func BenchmarkEclatParallelReplicatePool(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(txs, 0.05, MineOptions{Kernel: KernelEclat, Workers: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMineAutoReplicatePool measures the adaptive front end on the
-// replicate-pool shape: selection cost must be negligible next to the
-// mine itself.
-func BenchmarkMineAutoReplicatePool(b *testing.B) {
-	txs := replicatePool(7, 30, 3000, 9, 300)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mine(txs, 0.05, MineOptions{}); err != nil {
+		if _, err := Mine(txs, 0.05, MineOptions{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,9 +160,7 @@ func BenchmarkIndexBuildSparse(b *testing.B) {
 }
 
 // BenchmarkMineWarmIndexSparse is the warm serving path on the
-// long-tail corpus: adaptive containers, galloping intersections, auto
-// kernel selection (the compressed-share rule picks Eclat here even
-// though the dense-density statistics would not).
+// long-tail corpus: adaptive containers and galloping intersections.
 func BenchmarkMineWarmIndexSparse(b *testing.B) {
 	txs := longTailCorpus(11, 262144, 500, 3580)
 	ix, err := BuildIndex(txs)
@@ -229,23 +180,22 @@ func BenchmarkMineWarmIndexSparse(b *testing.B) {
 }
 
 // BenchmarkMineWarmIndexSparseDense is the pre-container comparison
-// point: the same corpus and threshold over a dense-forced index with
-// the Eclat kernel pinned, so the delta to BenchmarkMineWarmIndexSparse
-// isolates the container dispatch against uniform word sweeps.
+// point: the same corpus and threshold over a dense-forced index, so
+// the delta to BenchmarkMineWarmIndexSparse isolates the container
+// dispatch against uniform word sweeps.
 func BenchmarkMineWarmIndexSparseDense(b *testing.B) {
 	txs := longTailCorpus(11, 262144, 500, 3580)
 	ix, err := buildIndexWith(txs, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := MineOptions{Kernel: KernelEclat}
-	if _, err := MineIndexed(ix, 0.00036, opts); err != nil {
+	if _, err := MineIndexed(ix, 0.00036, MineOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MineIndexed(ix, 0.00036, opts); err != nil {
+		if _, err := MineIndexed(ix, 0.00036, MineOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -11,30 +12,31 @@ import (
 	"cuisinevol/internal/synth"
 )
 
-// The cross-kernel differential layer: every mining kernel — Apriori,
-// FP-Growth, Eclat (serial and prefix-partition-parallel) — must
-// produce the identical canonical Result on every corpus we can throw
-// at it. These tests are the proof obligation that lets Mine pick
-// kernels freely: if they pass, kernel selection can never change a
-// pipeline's output.
+// The differential layer: the Eclat kernel — raw and indexed, serial
+// and prefix-partition-parallel — must produce the identical canonical
+// Result to the Apriori oracle on every corpus we can throw at it.
 
-// allKernels runs every kernel (plus parallel Eclat) on txs and fails
-// the test unless all Results are identical in canonical order.
-// It returns the agreed-upon result.
+// allKernels runs Mine and MineIndexed (serial and parallel) on txs and
+// fails the test unless every Result is identical in canonical order to
+// Apriori's. It returns the agreed-upon result.
 func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
 	if err != nil {
 		t.Fatalf("%s: apriori: %v", label, err)
 	}
+	ix, err := BuildIndex(txs)
+	if err != nil {
+		t.Fatalf("%s: build index: %v", label, err)
+	}
 	runs := []struct {
 		name string
 		mine func() (*Result, error)
 	}{
-		{"fpgrowth", func() (*Result, error) { return FPGrowth(txs, minSupport) }},
-		{"eclat", func() (*Result, error) { return Eclat(txs, minSupport) }},
-		{"eclat-parallel", func() (*Result, error) { return eclatMine(txs, minSupport, 4) }},
-		{"mine-auto", func() (*Result, error) { return Mine(txs, minSupport, MineOptions{}) }},
+		{"raw", func() (*Result, error) { return Mine(txs, minSupport, MineOptions{}) }},
+		{"raw-parallel", func() (*Result, error) { return Mine(txs, minSupport, MineOptions{Workers: 4}) }},
+		{"indexed", func() (*Result, error) { return MineIndexed(ix, minSupport, MineOptions{}) }},
+		{"indexed-parallel", func() (*Result, error) { return MineIndexed(ix, minSupport, MineOptions{Workers: 4}) }},
 	}
 	for _, run := range runs {
 		got, err := run.mine()
@@ -52,23 +54,17 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 	return base
 }
 
-// kernelsAgreeOnMaps is the weaker (itemset, support)-map agreement the
-// ISSUE asks for explicitly; canonical-order equality implies it, but
-// asserting it separately keeps the failure mode readable when only
-// ordering drifts.
+// kernelsAgreeOnMaps is the weaker (itemset, support)-map agreement;
+// canonical-order equality implies it, but asserting it separately
+// keeps the failure mode readable when only ordering drifts.
 func kernelsAgreeOnMaps(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) {
 	t.Helper()
 	resA, errA := Apriori(txs, minSupport)
-	resF, errF := FPGrowth(txs, minSupport)
-	resE, errE := Eclat(txs, minSupport)
-	if errA != nil || errF != nil || errE != nil {
-		t.Fatalf("%s: %v %v %v", label, errA, errF, errE)
+	resM, errM := mineRaw(txs, minSupport)
+	if errA != nil || errM != nil {
+		t.Fatalf("%s: %v %v", label, errA, errM)
 	}
-	am, fm, em := setsAsMap(resA), setsAsMap(resF), setsAsMap(resE)
-	if !reflect.DeepEqual(am, fm) {
-		t.Fatalf("%s: apriori and fpgrowth (itemset, support) maps differ", label)
-	}
-	if !reflect.DeepEqual(am, em) {
+	if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resM)) {
 		t.Fatalf("%s: apriori and eclat (itemset, support) maps differ", label)
 	}
 }
@@ -152,11 +148,13 @@ func TestDifferentialEdgeCorpora(t *testing.T) {
 
 // TestDifferentialSynthCorpus mines a seeded synthetic corpus — the
 // same generator the experiments run on — per cuisine at the paper's
-// 5% threshold and checks all kernels agree on every view, including
-// the dense category-transaction projection.
+// 5% threshold and checks Eclat agrees with Apriori on every view,
+// including the dense category-transaction projection. Seed and scale
+// are those of results/golden_fig3.json, so every mine behind that
+// golden file is checked against the oracle here.
 func TestDifferentialSynthCorpus(t *testing.T) {
 	gen := synth.DefaultConfig(42)
-	gen.RecipeScale = 0.03
+	gen.RecipeScale = 0.05
 	corpus, err := synth.Generate(gen)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +201,8 @@ func TestDifferentialRealCorpus(t *testing.T) {
 	}
 }
 
-// TestEclatScratchReuseIsClean mirrors the FP-Growth pool-hygiene test:
-// a reused Eclat miner must match fresh results, and earlier Results
+// TestEclatScratchReuseIsClean is the pool-hygiene test: a reused
+// Eclat miner must match fresh results, and earlier Results
 // must stay intact after later mines (no aliasing into recycled
 // scratch or emit arenas).
 func TestEclatScratchReuseIsClean(t *testing.T) {
@@ -220,7 +218,7 @@ func TestEclatScratchReuseIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Eclat(txs, 0.05)
+		got, err := mineRaw(txs, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,13 +239,13 @@ func TestEclatScratchReuseIsClean(t *testing.T) {
 // the same canonical Result for every worker count, run after run.
 func TestEclatParallelDeterminism(t *testing.T) {
 	txs := replicatePool(3, 25, 2000, 9, 250)
-	base, err := Eclat(txs, 0.05)
+	base, err := mineRaw(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 16} {
 		for run := 0; run < 3; run++ {
-			got, err := eclatMine(txs, 0.05, workers)
+			got, err := Mine(txs, 0.05, MineOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,63 +257,17 @@ func TestEclatParallelDeterminism(t *testing.T) {
 }
 
 // TestEclatValidation: the vertical kernel enforces the same input
-// contract as the others.
+// contract as the Apriori oracle.
 func TestEclatValidation(t *testing.T) {
-	for _, sup := range []float64{0, -0.1, 1.01} {
-		if _, err := Eclat(classicTxs(), sup); err != ErrBadSupport {
+	for _, sup := range []float64{0, -0.1, 1.01, math.NaN()} {
+		if _, err := mineRaw(classicTxs(), sup); err != ErrBadSupport {
 			t.Fatalf("support %v: want ErrBadSupport, got %v", sup, err)
 		}
 	}
-	if _, err := Eclat([][]ingredient.ID{{3, 1, 2}}, 0.5); err == nil {
+	if _, err := mineRaw([][]ingredient.ID{{3, 1, 2}}, 0.5); err == nil {
 		t.Fatal("Eclat accepted unsorted transaction")
 	}
-	if _, err := Eclat([][]ingredient.ID{{1, 1, 2}}, 0.5); err == nil {
+	if _, err := mineRaw([][]ingredient.ID{{1, 1, 2}}, 0.5); err == nil {
 		t.Fatal("Eclat accepted duplicate items")
 	}
-}
-
-// TestKernelStringParseRoundTrip pins the kernel naming surface the CLI
-// and the /v1/mine parameter share.
-func TestKernelStringParseRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelFPGrowth, KernelEclat, KernelApriori} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip %v: got %v, %v", k, got, err)
-		}
-	}
-	if k, err := ParseKernel(""); err != nil || k != KernelAuto {
-		t.Fatalf("empty kernel: got %v, %v", k, err)
-	}
-	if _, err := ParseKernel("quantum"); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
-// TestChooseKernelShapes pins the adaptive selector's decisions on the
-// canonical corpus shapes: dense recipe-like data goes vertical, empty
-// or degenerate data and huge/sparse universes go to the tree.
-func TestChooseKernelShapes(t *testing.T) {
-	if got := ChooseKernel(nil); got != KernelFPGrowth {
-		t.Fatalf("empty: %v", got)
-	}
-	// Recipe-shaped: 500 transactions of ~9 items over 300 ingredients.
-	src := randx.New(2)
-	recipes := make([][]ingredient.ID, 500)
-	for i := range recipes {
-		recipes[i] = tx(src.SampleInts(300, 9)...)
-	}
-	if got := ChooseKernel(recipes); got != KernelEclat {
-		t.Fatalf("recipe-shaped: %v", got)
-	}
-	// Sparse long-tail: single-item transactions spread over a huge
-	// universe — density far below a set bit per word.
-	sparse := make([][]ingredient.ID, 3000)
-	for i := range sparse {
-		sparse[i] = tx(i)
-	}
-	if got := ChooseKernel(sparse); got != KernelFPGrowth {
-		t.Fatalf("sparse long-tail: %v", got)
-	}
-	// The selector never changes results — spot-check both shapes.
-	allKernels(t, recipes[:100], 0.05, "choose-recipes")
 }

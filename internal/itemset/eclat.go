@@ -8,37 +8,16 @@ import (
 	"cuisinevol/internal/sched"
 )
 
-// Eclat mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport using a vertical bitset kernel (Zaki's Eclat over
-// bitmap tidsets). It produces exactly the same Result as Apriori and
-// FPGrowth — the cross-kernel differential tests pin the three kernels
-// to byte-identical canonical output.
-//
-// The vertical layout is built over the deduped transaction arena: the
-// transactions are projected onto the frequent items, identical
-// projections collapse into one transaction id with a weight, and each
-// frequent item gets a []uint64 bitmap over those unique ids. Support
-// of an extension is then one AND + popcount sweep (weight-summed when
-// duplicates exist). Depth-first expansion walks prefix equivalence
-// classes; all bitmap and class scratch is pooled per depth, so
-// steady-state mining allocates almost nothing beyond the Result.
-//
-// Dense short transactions — bounded-size recipes over a few hundred
-// ingredients, the regime of every pipeline in this repo — are exactly
-// where the vertical kernel beats the FP-tree; Mine's adaptive selector
-// encodes that heuristic (see ChooseKernel).
-func Eclat(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
-	return eclatMine(txs, minSupport, 0)
+// itemCount pairs an ingredient with its global occurrence count.
+type itemCount struct {
+	item  ingredient.ID
+	count int
 }
 
-// eclatMine runs the vertical kernel, fanning the top-level prefix
-// partitions over `workers` scheduler workers when workers > 1.
-func eclatMine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	m := eclatPool.Get().(*eclatMiner)
-	res, err := m.mine(txs, minSupport, workers)
-	eclatPool.Put(m)
-	return res, err
-}
+// emitArenaChunk is the emit arena's allocation granularity: itemset
+// backing storage is carved from chunks this large, so the per-itemset
+// allocation cost is amortized ~chunk/size-fold.
+const emitArenaChunk = 4096
 
 var eclatPool = sync.Pool{New: func() any { return newEclatMiner() }}
 
@@ -78,8 +57,9 @@ type eclatScratch struct {
 	levelIDs [][]uint32   // per-depth id buffers for array candidates
 	class    [][]eclatExt // per-depth class scratch
 
-	// arenaFree is the unused tail of the current emit-arena chunk (the
-	// same carve-and-never-touch-again scheme as Miner.emit).
+	// arenaFree is the unused tail of the current emit-arena chunk.
+	// Handed-out regions are never written again, so leftovers carry
+	// over safely between calls.
 	arenaFree []ingredient.ID
 	sets      []Itemset
 }
@@ -116,7 +96,7 @@ func (s *eclatScratch) classAt(depth int) []eclatExt {
 
 // emitWith records the itemset suffix∪{item} with the given count,
 // translating item order indices back to ingredient IDs sorted
-// ascending (the canonical itemset representation all kernels share).
+// ascending (the canonical itemset representation).
 func (s *eclatScratch) emitWith(item int32, count int) {
 	k := len(s.suffix) + 1
 	if len(s.arenaFree) < k {
@@ -255,7 +235,7 @@ var eclatWorkerPool = sync.Pool{New: func() any { return &eclatScratch{} }}
 
 // eclatMiner is the reusable vertical-kernel state: the counting and
 // dedup maps, the unique-transaction arena, the top-level bitmaps, and
-// a serial expansion scratch. Not safe for concurrent use; Eclat draws
+// a serial expansion scratch. Not safe for concurrent use; Mine draws
 // miners from a pool.
 type eclatMiner struct {
 	counts map[ingredient.ID]int
@@ -264,8 +244,7 @@ type eclatMiner struct {
 	keyBuf []byte
 	buf    []int32
 
-	// Unique projected transactions, flattened (same arena layout as
-	// the FP-Growth miner): transaction u occupies
+	// Unique projected transactions, flattened: transaction u occupies
 	// txArena[txOff[u]:txOff[u+1]] and occurred weights[u] times.
 	txArena []int32
 	txOff   []int32
@@ -287,8 +266,8 @@ func newEclatMiner() *eclatMiner {
 }
 
 func (m *eclatMiner) mine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
+	if err := checkSupport(minSupport); err != nil {
+		return nil, err
 	}
 	if err := validateTransactions(txs); err != nil {
 		return nil, err
@@ -415,8 +394,8 @@ func (q *eclatQuery) release() {
 // in place — no counting pass, no dedup, no bitmap build, no raw
 // transactions.
 func eclatMineIndexed(ix *Index, minSupport float64, workers int) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
+	if err := checkSupport(minSupport); err != nil {
+		return nil, err
 	}
 	res := &Result{N: ix.n}
 	if ix.n == 0 {
@@ -471,8 +450,7 @@ func (s *eclatScratch) emitSingleton(ic itemCount) {
 }
 
 // dedupTransactions projects every transaction onto the frequent items
-// and collapses identical projections into (transaction, weight) pairs —
-// the same dedup the FP-Growth kernel performs before tree insertion.
+// and collapses identical projections into (transaction, weight) pairs.
 // Replicate pools are copies by construction, so the unique-transaction
 // count (and with it every bitmap's length) is typically several-fold
 // smaller than the input.
@@ -562,6 +540,16 @@ func (m *eclatMiner) buildBitmaps() {
 	if sh.weighted {
 		for len(sh.weights) < sh.words*64 {
 			sh.weights = append(sh.weights, 0)
+		}
+	}
+}
+
+// sortInt32s sorts small index slices in place (insertion sort; filtered
+// transactions are recipe-sized).
+func sortInt32s(xs []int32) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }

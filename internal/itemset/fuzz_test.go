@@ -9,7 +9,7 @@ import (
 
 // fuzzSupports is the support grid the fuzzer selects from. All values
 // are valid, so every decoded corpus must mine without error on every
-// kernel; the interesting surface is the mining itself, not argument
+// path; the interesting surface is the mining itself, not argument
 // validation (which has its own tests).
 var fuzzSupports = [...]float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 
@@ -65,12 +65,12 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 }
 
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
-// corpus and checks that Apriori, FP-Growth, Eclat (serial and
-// parallel) and the adaptive Mine front end produce byte-identical
-// canonical results, and that every reported itemset's count matches a
+// corpus and checks that Mine and MineIndexed (serial and parallel)
+// produce results byte-identical to the Apriori oracle in canonical
+// order, and that every reported itemset's count matches a
 // brute-force recount over the raw transactions. The seed corpus in
-// testdata/fuzz/FuzzMineKernels covers the shapes that distinguish the
-// kernels: duplicate-heavy (dedup arena + weighted popcounts), dense
+// testdata/fuzz/FuzzMineKernels covers the shapes that stress the
+// kernel: duplicate-heavy (dedup arena + weighted popcounts), dense
 // single transactions (deep DFS), and sparse long tails.
 func FuzzMineKernels(f *testing.F) {
 	seed := func(support byte, txs ...[]byte) {
@@ -104,7 +104,7 @@ func FuzzMineKernels(f *testing.F) {
 		for _, s := range res.Sets {
 			count := 0
 			for _, tx := range txs {
-				if containsAll(tx, s.Items) {
+				if containsSorted(tx, s.Items) {
 					count++
 				}
 			}
@@ -116,20 +116,4 @@ func FuzzMineKernels(f *testing.F) {
 			}
 		}
 	})
-}
-
-// containsAll reports whether the sorted transaction contains every
-// item of the sorted set (a linear merge).
-func containsAll(tx, set []ingredient.ID) bool {
-	i := 0
-	for _, want := range set {
-		for i < len(tx) && tx[i] < want {
-			i++
-		}
-		if i == len(tx) || tx[i] != want {
-			return false
-		}
-		i++
-	}
-	return true
 }

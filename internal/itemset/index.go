@@ -16,12 +16,12 @@ import (
 // threshold), the per-item support counts, and a content fingerprint of
 // the indexed transactions.
 //
-// The index depends only on the corpus, never on a mining threshold or
-// kernel, so one build amortizes across every (minSupport, kernel)
-// query: MineIndexed filters the frequent items at query time and mines
-// straight off the arena and posting containers without ever touching
-// raw [][]ingredient.ID again. The per-item containers double as
-// posting lists over the unique-transaction space (container
+// The index depends only on the corpus, never on a mining threshold,
+// so one build amortizes across every minSupport query: MineIndexed
+// filters the frequent items at query time and mines straight off the
+// arena and posting containers without ever touching raw
+// [][]ingredient.ID again. The per-item containers double as posting
+// lists over the unique-transaction space (container
 // intersection is the query primitive), which is what the search and
 // incremental-mining roadmap items build on.
 //
@@ -64,7 +64,7 @@ type Index struct {
 // BuildIndex indexes a transaction database: validation, item counting,
 // transaction dedup and the full vertical bitmap layout in one pass
 // family. Transactions must be sorted strictly ascending (the contract
-// every kernel already enforces). The input slices are read, never
+// Mine already enforces). The input slices are read, never
 // retained or modified.
 func BuildIndex(txs [][]ingredient.ID) (*Index, error) {
 	return buildIndexWith(txs, false)
@@ -110,7 +110,7 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 	}
 
 	// Dedup identical transactions into (transaction, weight) pairs —
-	// the same collapse the kernels used to redo per mine, done once.
+	// the same collapse raw Mine redoes per mine, done once.
 	dedup := make(map[string]int32, len(txs))
 	wide := len(ix.items) > 0xffff
 	keyBuf := make([]byte, 0, 64)
@@ -297,8 +297,7 @@ func (ix *Index) DistinctItems() int { return len(ix.items) }
 func (ix *Index) UniqueTransactions() int { return ix.uniques }
 
 // TotalOccurrences returns the total item occurrences across all
-// indexed transactions — with N and DistinctItems, the exact statistics
-// the adaptive kernel heuristic needs.
+// indexed transactions.
 func (ix *Index) TotalOccurrences() int { return ix.totalOcc }
 
 // Fingerprint returns the 128-bit hex content hash of the indexed
@@ -328,33 +327,6 @@ func (ix *Index) AddSupportCounts(dst []int) {
 			dst[ic.item] += ic.count
 		}
 	}
-}
-
-// ChooseKernel picks the cheaper mining kernel from the index's exact
-// shape statistics — no re-estimation pass over raw transactions. On
-// dense corpora the decision is identical to ChooseKernel on the
-// transactions the index was built from; on sparse corpora the index
-// knows more than the raw statistics do: when the posting mix is
-// overwhelmingly compressed (array/run containers), Eclat's cost
-// follows the cardinalities, not bitmap words, so the dense-sweep
-// density bound no longer disqualifies it (see minEclatCompressedShare).
-func (ix *Index) ChooseKernel() Kernel {
-	if k := chooseKernelFromStats(ix.n, len(ix.items), ix.totalOcc); k == KernelEclat {
-		return k
-	}
-	if ix.n == 0 || ix.n > maxEclatTxs || len(ix.items) == 0 || len(ix.items) > maxEclatDistinct {
-		return KernelFPGrowth
-	}
-	compressed := 0
-	for _, kind := range ix.postKind {
-		if kind != containerBitset {
-			compressed++
-		}
-	}
-	if float64(compressed) >= minEclatCompressedShare*float64(len(ix.postKind)) {
-		return KernelEclat
-	}
-	return KernelFPGrowth
 }
 
 // ContainerStats summarizes an index's posting-container mix: how many
@@ -409,69 +381,4 @@ func (ix *Index) postingAt(p int) posting {
 		pt.ids = ix.idArena[off : off+ln]
 	}
 	return pt
-}
-
-// aprioriIndexed is the level-wise kernel's query phase: L1 comes from
-// the index's support counts and candidate counting scans the deduped
-// weighted arena instead of raw transactions.
-func aprioriIndexed(ix *Index, minSupport float64) (*Result, error) {
-	if minSupport <= 0 || minSupport > 1 {
-		return nil, ErrBadSupport
-	}
-	res := &Result{N: ix.n}
-	if ix.n == 0 {
-		return res, nil
-	}
-	mc := minCount(ix.n, minSupport)
-
-	// L1 straight from the index counts.
-	frequent := make([]bool, len(ix.items))
-	var level []Itemset
-	for p, ic := range ix.items {
-		if ic.count >= mc {
-			frequent[p] = true
-			level = append(level, Itemset{Items: []ingredient.ID{ic.item}, Count: ic.count})
-		}
-	}
-	sortLexical(level)
-	res.Sets = append(res.Sets, level...)
-
-	// Project the unique transactions onto the frequent items once,
-	// keeping their multiplicities; positions ascend, so the projected
-	// ID slices are sorted by construction.
-	filtered := make([][]ingredient.ID, 0, ix.uniques)
-	weights := make([]int32, 0, ix.uniques)
-	for u := 0; u < ix.uniques; u++ {
-		span := ix.txArena[ix.txOff[u]:ix.txOff[u+1]]
-		ftx := make([]ingredient.ID, 0, len(span))
-		for _, p := range span {
-			if frequent[p] {
-				ftx = append(ftx, ix.items[p].item)
-			}
-		}
-		if len(ftx) >= 2 {
-			filtered = append(filtered, ftx)
-			weights = append(weights, ix.weights[u])
-		}
-	}
-
-	for len(level) >= 2 {
-		candidates := aprioriGen(level)
-		if len(candidates) == 0 {
-			break
-		}
-		countCandidates(candidates, filtered, weights)
-		next := candidates[:0]
-		for _, c := range candidates {
-			if c.Count >= mc {
-				next = append(next, c)
-			}
-		}
-		level = append([]Itemset(nil), next...)
-		sortLexical(level)
-		res.Sets = append(res.Sets, level...)
-	}
-
-	sortCanonical(res.Sets)
-	return res, nil
 }

@@ -2,6 +2,7 @@ package itemset
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,10 +10,9 @@ import (
 	"cuisinevol/internal/randx"
 )
 
-// allKernelsIndexed mirrors allKernels for the indexed query phase:
-// every MineIndexed kernel (plus parallel Eclat and the adaptive
-// dispatch) must reproduce the raw Apriori Result byte-for-byte on the
-// transactions the index was built from.
+// allKernelsIndexed mirrors allKernels for a given index: MineIndexed,
+// serial and parallel, must reproduce the raw Apriori Result
+// byte-for-byte on the transactions the index was built from.
 func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
@@ -23,11 +23,8 @@ func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSuppor
 		name string
 		opts MineOptions
 	}{
-		{"indexed-fpgrowth", MineOptions{Kernel: KernelFPGrowth}},
-		{"indexed-eclat", MineOptions{Kernel: KernelEclat}},
-		{"indexed-eclat-parallel", MineOptions{Kernel: KernelEclat, Workers: 4}},
-		{"indexed-apriori", MineOptions{Kernel: KernelApriori}},
-		{"indexed-auto", MineOptions{}},
+		{"indexed", MineOptions{}},
+		{"indexed-parallel", MineOptions{Workers: 4}},
 	}
 	for _, run := range runs {
 		got, err := MineIndexed(ix, minSupport, run.opts)
@@ -90,11 +87,9 @@ func TestBuildIndexValidation(t *testing.T) {
 	if ix.N() != 0 || ix.DistinctItems() != 0 {
 		t.Fatalf("empty index: N=%d distinct=%d", ix.N(), ix.DistinctItems())
 	}
-	for _, k := range []Kernel{KernelAuto, KernelFPGrowth, KernelEclat, KernelApriori} {
-		res, err := MineIndexed(ix, 0.5, MineOptions{Kernel: k})
-		if err != nil || res.N != 0 || len(res.Sets) != 0 {
-			t.Fatalf("empty index, kernel %v: res=%v err=%v", k, res, err)
-		}
+	res, err := MineIndexed(ix, 0.5, MineOptions{})
+	if err != nil || res.N != 0 || len(res.Sets) != 0 {
+		t.Fatalf("empty index: res=%v err=%v", res, err)
 	}
 }
 
@@ -103,11 +98,9 @@ func TestMineIndexedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sup := range []float64{0, -0.1, 1.01} {
-		for _, k := range []Kernel{KernelFPGrowth, KernelEclat, KernelApriori} {
-			if _, err := MineIndexed(ix, sup, MineOptions{Kernel: k}); err != ErrBadSupport {
-				t.Fatalf("support %v kernel %v: want ErrBadSupport, got %v", sup, k, err)
-			}
+	for _, sup := range []float64{0, -0.1, 1.01, math.NaN()} {
+		if _, err := MineIndexed(ix, sup, MineOptions{}); err != ErrBadSupport {
+			t.Fatalf("support %v: want ErrBadSupport, got %v", sup, err)
 		}
 	}
 }
@@ -174,9 +167,9 @@ func TestAddSupportCounts(t *testing.T) {
 }
 
 // TestIndexedDifferentialRandomized is the indexed counterpart of the
-// randomized cross-kernel sweep: over seed-stable random databases of
-// varying shape and duplication, every MineIndexed kernel must match
-// raw Apriori byte-for-byte at every threshold.
+// randomized differential sweep: over seed-stable random databases of
+// varying shape and duplication, MineIndexed, serial and parallel,
+// must match raw Apriori byte-for-byte at every threshold.
 func TestIndexedDifferentialRandomized(t *testing.T) {
 	src := randx.New(20260808)
 	supports := []float64{0.02, 0.05, 0.1, 0.3, 0.75, 1.0}
@@ -267,7 +260,7 @@ func TestIndexImmutableAcrossQueries(t *testing.T) {
 	want := make([]map[string]int, len(supports))
 	kept := make([]*Result, len(supports))
 	for i, sup := range supports {
-		res, err := MineIndexed(ix, sup, MineOptions{Kernel: KernelEclat})
+		res, err := MineIndexed(ix, sup, MineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,43 +290,5 @@ func TestIndexImmutableAcrossQueries(t *testing.T) {
 	}
 	if ix.Fingerprint() != fp {
 		t.Fatal("fingerprint changed across queries")
-	}
-}
-
-// TestIndexChooseKernelMatchesRaw: the index's stats-based kernel
-// choice must reproduce ChooseKernel's decision on the raw
-// transactions for every corpus shape, except in the one documented
-// direction: on sparse corpora whose posting mix is overwhelmingly
-// compressed, the index knows more than the raw statistics and may
-// upgrade FP-Growth to Eclat (minEclatCompressedShare). Any other
-// divergence is a bug.
-func TestIndexChooseKernelMatchesRaw(t *testing.T) {
-	src := randx.New(99)
-	for trial := 0; trial < 30; trial++ {
-		universe := 1 + src.Intn(500)
-		total := src.Intn(400)
-		txs := make([][]ingredient.ID, 0, total)
-		for len(txs) < total {
-			size := src.Intn(10)
-			if size > universe {
-				size = universe
-			}
-			txs = append(txs, tx(src.SampleInts(universe, size)...))
-		}
-		ix, err := BuildIndex(txs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, indexed := ChooseKernel(txs), ix.ChooseKernel()
-		if raw == indexed {
-			continue
-		}
-		st := ix.ContainerStats()
-		compressed := st.Arrays + st.Runs
-		if raw != KernelFPGrowth || indexed != KernelEclat ||
-			float64(compressed) < minEclatCompressedShare*float64(ix.DistinctItems()) {
-			t.Fatalf("trial %d: ChooseKernel(raw) = %v, Index.ChooseKernel() = %v (mix %+v)",
-				trial, raw, indexed, st)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -32,6 +33,12 @@ func classicTxs() [][]ingredient.ID {
 		tx(1, 2, 3, 5),
 		tx(1, 2, 3),
 	}
+}
+
+// mineRaw is Mine with default options, in the shape of the Apriori
+// oracle's signature so the two can share test tables.
+func mineRaw(txs [][]ingredient.ID, minSupport float64) (*Result, error) {
+	return Mine(txs, minSupport, MineOptions{})
 }
 
 // setsAsMap converts a result to a map fingerprint->count for comparison.
@@ -70,21 +77,21 @@ func TestAprioriClassic(t *testing.T) {
 	}
 }
 
-func TestFPGrowthClassic(t *testing.T) {
+func TestMineClassic(t *testing.T) {
 	resA, _ := Apriori(classicTxs(), 2.0/9)
-	resF, err := FPGrowth(classicTxs(), 2.0/9)
+	resM, err := mineRaw(classicTxs(), 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resF)) {
-		t.Fatalf("FP-Growth disagrees with Apriori:\nA: %v\nF: %v", resA.Sets, resF.Sets)
+	if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resM)) {
+		t.Fatalf("Mine disagrees with Apriori:\nA: %v\nM: %v", resA.Sets, resM.Sets)
 	}
 }
 
 func TestMinersCanonicalOrderIdentical(t *testing.T) {
 	resA, _ := Apriori(classicTxs(), 2.0/9)
-	resF, _ := FPGrowth(classicTxs(), 2.0/9)
-	if !reflect.DeepEqual(resA.Sets, resF.Sets) {
+	resM, _ := mineRaw(classicTxs(), 2.0/9)
+	if !reflect.DeepEqual(resA.Sets, resM.Sets) {
 		t.Fatal("canonical ordering differs between miners")
 	}
 }
@@ -105,12 +112,12 @@ func TestMinersAgreeOnRandomData(t *testing.T) {
 		}
 		for _, sup := range []float64{0.05, 0.1, 0.3, 0.6} {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resM, errM := mineRaw(txs, sup)
+			if errA != nil || errM != nil {
+				t.Fatal(errA, errM)
 			}
-			if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resF)) {
-				t.Fatalf("trial %d sup %v: miners disagree\nA: %v\nF: %v", trial, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(setsAsMap(resA), setsAsMap(resM)) {
+				t.Fatalf("trial %d sup %v: miners disagree\nA: %v\nM: %v", trial, sup, resA.Sets, resM.Sets)
 			}
 		}
 	}
@@ -124,7 +131,7 @@ func TestSupportBoundary(t *testing.T) {
 		txs[i] = tx(1)
 	}
 	txs[0] = tx(1, 7)
-	res, err := FPGrowth(txs, 0.05)
+	res, err := mineRaw(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +140,14 @@ func TestSupportBoundary(t *testing.T) {
 		t.Fatalf("item at exactly 5%% support must be frequent: %v", res.Sets)
 	}
 	// Below the boundary it must be excluded.
-	res2, _ := FPGrowth(txs, 0.051)
+	res2, _ := mineRaw(txs, 0.051)
 	if _, ok := setsAsMap(res2)[fingerprint(tx(7))]; ok {
 		t.Fatal("item below threshold included")
 	}
 }
 
 func TestEmptyTransactions(t *testing.T) {
-	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, FPGrowth} {
+	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, mineRaw} {
 		res, err := mine(nil, 0.05)
 		if err != nil {
 			t.Fatal(err)
@@ -152,8 +159,8 @@ func TestEmptyTransactions(t *testing.T) {
 }
 
 func TestBadSupportRejected(t *testing.T) {
-	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, FPGrowth} {
-		for _, s := range []float64{0, -0.1, 1.01} {
+	for _, mine := range []func([][]ingredient.ID, float64) (*Result, error){Apriori, mineRaw} {
+		for _, s := range []float64{0, -0.1, 1.01, math.NaN()} {
 			if _, err := mine(classicTxs(), s); err != ErrBadSupport {
 				t.Fatalf("support %v: want ErrBadSupport, got %v", s, err)
 			}
@@ -166,17 +173,17 @@ func TestUnsortedTransactionRejected(t *testing.T) {
 	if _, err := Apriori(bad, 0.5); err == nil {
 		t.Fatal("Apriori accepted unsorted transaction")
 	}
-	if _, err := FPGrowth(bad, 0.5); err == nil {
-		t.Fatal("FPGrowth accepted unsorted transaction")
+	if _, err := mineRaw(bad, 0.5); err == nil {
+		t.Fatal("Mine accepted unsorted transaction")
 	}
 	dup := [][]ingredient.ID{{1, 1, 2}}
-	if _, err := FPGrowth(dup, 0.5); err == nil {
+	if _, err := mineRaw(dup, 0.5); err == nil {
 		t.Fatal("duplicate items accepted")
 	}
 }
 
 func TestSingleTransaction(t *testing.T) {
-	res, err := FPGrowth([][]ingredient.ID{tx(1, 2, 3)}, 1.0)
+	res, err := mineRaw([][]ingredient.ID{tx(1, 2, 3)}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestMonotonicity(t *testing.T) {
 	txs := classicTxs()
 	prev := -1
 	for _, sup := range []float64{0.1, 0.2, 0.3, 0.5, 0.8, 1.0} {
-		res, err := FPGrowth(txs, sup)
+		res, err := mineRaw(txs, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +212,7 @@ func TestMonotonicity(t *testing.T) {
 func TestDownwardClosure(t *testing.T) {
 	// Every subset of a frequent itemset must itself be frequent, with
 	// count >= the superset's.
-	res, err := FPGrowth(classicTxs(), 2.0/9)
+	res, err := mineRaw(classicTxs(), 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestCountsExact(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(8, 1+src.Intn(5))...)
 	}
-	res, err := FPGrowth(txs, 0.05)
+	res, err := mineRaw(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +265,7 @@ func TestCountsExact(t *testing.T) {
 }
 
 func TestResultSupports(t *testing.T) {
-	res, _ := FPGrowth(classicTxs(), 2.0/9)
+	res, _ := mineRaw(classicTxs(), 2.0/9)
 	sup := res.Supports()
 	if len(sup) != len(res.Sets) {
 		t.Fatal("Supports length mismatch")
@@ -278,7 +285,7 @@ func TestResultSupports(t *testing.T) {
 }
 
 func TestMaxSize(t *testing.T) {
-	res, _ := FPGrowth(classicTxs(), 2.0/9)
+	res, _ := mineRaw(classicTxs(), 2.0/9)
 	if got := res.MaxSize(); got != 3 {
 		t.Fatalf("MaxSize = %d, want 3", got)
 	}
@@ -340,32 +347,16 @@ func TestFingerprintWideIDs(t *testing.T) {
 		tx(257, 65793), tx(257, 65793),
 	}
 	resA, errA := Apriori(txs, 0.3)
-	resF, errF := FPGrowth(txs, 0.3)
-	if errA != nil || errF != nil {
-		t.Fatal(errA, errF)
+	resM, errM := mineRaw(txs, 0.3)
+	if errA != nil || errM != nil {
+		t.Fatal(errA, errM)
 	}
-	if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-		t.Fatalf("miners disagree on wide IDs:\nA: %v\nF: %v", resA.Sets, resF.Sets)
+	if !reflect.DeepEqual(resA.Sets, resM.Sets) {
+		t.Fatalf("miners disagree on wide IDs:\nA: %v\nM: %v", resA.Sets, resM.Sets)
 	}
 	got := setsAsMap(resA)
 	if got[fingerprint(tx(257))] != 4 || got[fingerprint(tx(65793))] != 4 {
 		t.Fatalf("wide-ID singleton counts wrong: %v", resA.Sets)
-	}
-}
-
-func BenchmarkFPGrowth1000x9(b *testing.B) {
-	src := randx.New(7)
-	txs := make([][]ingredient.ID, 1000)
-	ws := randx.NewWeightedSampler(zipfWeights(400))
-	for i := range txs {
-		picks := ws.DrawDistinct(src, 9)
-		txs[i] = tx(picks...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(txs, 0.05); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // The live-index proof layer: a metamorphic differential harness driving
 // randomized op streams (append / delete / snapshot / mine
 // interleavings) against LiveIndex and asserting that every snapshot is
-// byte-identical — structurally, by fingerprint, and through every
-// mining kernel serial and parallel — to a from-scratch BuildIndex over
-// the equivalent frozen corpus. This is the same discipline that pinned
-// each kernel to the Apriori oracle: if these pass, the incremental
+// byte-identical — structurally, by fingerprint, and through serial
+// and parallel mining — to a from-scratch BuildIndex over the
+// equivalent frozen corpus. This is the same discipline that pins the
+// kernel to the Apriori oracle: if these pass, the incremental
 // write path can never change a query's bytes.
 
 // soakRuns makes `make soak` escalation meaningful: `go test -count=N`
@@ -155,8 +155,7 @@ func (tr *liveTrial) verify(t *testing.T, src *randx.Source, label string) {
 			t.Fatalf("%s: snapshot structurally differs from BuildIndex", vlabel)
 		}
 		// Two random thresholds per checkpoint; allKernelsIndexed runs
-		// FP-Growth, Eclat serial+parallel, Apriori and auto against the
-		// raw Apriori oracle, so byte-identity of snapshot mining to
+		// serial and parallel Eclat against the raw Apriori oracle, so byte-identity of snapshot mining to
 		// from-scratch mining is transitive through it.
 		for i := 0; i < 2; i++ {
 			sup := randx.Choice(src, supports)
@@ -314,13 +313,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 		}
 	}()
 
-	kernels := []MineOptions{
-		{Kernel: KernelFPGrowth},
-		{Kernel: KernelEclat},
-		{Kernel: KernelEclat, Workers: 4},
-		{Kernel: KernelApriori},
-		{},
-	}
+	modes := []MineOptions{{}, {Workers: 4}}
 	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(r int) { // reader
@@ -337,19 +330,19 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 				}
 				snap := li.Snapshot()
 				fp := snap.Fingerprint()
-				base, err := MineIndexed(snap, sup, kernels[iter%len(kernels)])
+				base, err := MineIndexed(snap, sup, modes[iter%len(modes)])
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				for k := range kernels {
-					got, err := MineIndexed(snap, sup, kernels[k])
+				for k := range modes {
+					got, err := MineIndexed(snap, sup, modes[k])
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
 					}
 					if !reflect.DeepEqual(base, got) {
-						t.Errorf("reader %d: kernels diverge on one snapshot", r)
+						t.Errorf("reader %d: serial and parallel mining diverge on one snapshot", r)
 						return
 					}
 				}
@@ -361,7 +354,7 @@ func TestLiveEpochIsolationRace(t *testing.T) {
 				// the writer has advanced since, and the old epoch must
 				// be bitwise frozen.
 				if pinned != nil {
-					again, err := MineIndexed(pinned, sup, kernels[iter%len(kernels)])
+					again, err := MineIndexed(pinned, sup, modes[iter%len(modes)])
 					if err != nil {
 						t.Errorf("reader %d: pinned re-mine: %v", r, err)
 						return

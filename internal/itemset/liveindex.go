@@ -104,8 +104,8 @@ func NewLiveIndex() *LiveIndex {
 
 // Append adds transactions at the end of the live database and returns
 // their assigned ids, one per transaction in order, for use with Delete.
-// Transactions must be sorted strictly ascending (the contract every
-// kernel enforces); the input slices are read, never retained. On error
+// Transactions must be sorted strictly ascending (the contract Mine
+// enforces); the input slices are read, never retained. On error
 // nothing is applied. Cost is O(total items appended).
 func (li *LiveIndex) Append(txs [][]ingredient.ID) ([]int64, error) {
 	if err := validateTransactions(txs); err != nil {

@@ -1,192 +1,35 @@
 package itemset
 
 import (
-	"fmt"
-	"strings"
-
 	"cuisinevol/internal/ingredient"
 )
 
-// Kernel selects the mining algorithm behind Mine. All kernels produce
-// byte-identical Results (pinned by the cross-kernel differential
-// tests); they differ only in how fast they get there on a given corpus
-// shape.
-type Kernel uint8
-
-const (
-	// KernelAuto lets Mine pick the cheaper kernel from the corpus shape
-	// (see ChooseKernel). The zero value, so "unset" means adaptive.
-	KernelAuto Kernel = iota
-	// KernelFPGrowth is the flat-memory FP-tree kernel — the safe
-	// default for large or sparse corpora.
-	KernelFPGrowth
-	// KernelEclat is the vertical bitset kernel — fastest on dense
-	// short transactions over a modest item universe.
-	KernelEclat
-	// KernelApriori is the level-wise reference implementation. Never
-	// selected automatically; it exists as an explicit override so the
-	// differential layer has an independent third opinion.
-	KernelApriori
-)
-
-// String returns the kernel's canonical lowercase name.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelFPGrowth:
-		return "fpgrowth"
-	case KernelEclat:
-		return "eclat"
-	case KernelApriori:
-		return "apriori"
-	}
-	return fmt.Sprintf("kernel(%d)", uint8(k))
-}
-
-// ParseKernel maps a kernel name to its Kernel. The empty string means
-// KernelAuto; names are case-insensitive and accept the common spelling
-// variants ("fp-growth", "fp").
-func ParseKernel(s string) (Kernel, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return KernelAuto, nil
-	case "fpgrowth", "fp-growth", "fp":
-		return KernelFPGrowth, nil
-	case "eclat", "bitset", "vertical":
-		return KernelEclat, nil
-	case "apriori":
-		return KernelApriori, nil
-	}
-	return 0, fmt.Errorf("itemset: unknown kernel %q (use auto, fpgrowth, eclat or apriori)", s)
-}
-
 // MineOptions tunes a Mine call.
 type MineOptions struct {
-	// Kernel overrides the adaptive selection; KernelAuto (the zero
-	// value) keeps it.
-	Kernel Kernel
 	// Workers > 1 fans the Eclat kernel's top-level prefix partitions
-	// over that many scheduler workers; <= 1 mines serially. Only the
-	// vertical kernel parallelizes a single mine — the pipelines get
-	// their parallelism from fanning out independent mines instead, so
-	// they leave this at 0.
+	// over that many scheduler workers; <= 1 mines serially. The
+	// pipelines get their parallelism from fanning out independent mines
+	// instead, so they leave this at 0.
 	Workers int
 }
 
 // Mine mines all frequent itemsets of size >= 1 with relative support
-// >= minSupport, dispatching to the kernel the options select — or, for
-// KernelAuto, to the cheaper of Eclat and FP-Growth for this corpus
-// shape. Every kernel returns the same canonical Result.
+// >= minSupport with the Eclat kernel. Transactions must be sorted
+// strictly ascending.
 func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result, error) {
-	k := opts.Kernel
-	if k == KernelAuto {
-		k = ChooseKernel(txs)
-	}
-	switch k {
-	case KernelEclat:
-		return eclatMine(txs, minSupport, opts.Workers)
-	case KernelApriori:
-		return Apriori(txs, minSupport)
-	default:
-		return FPGrowth(txs, minSupport)
-	}
+	m := eclatPool.Get().(*eclatMiner)
+	res, err := m.mine(txs, minSupport, opts.Workers)
+	eclatPool.Put(m)
+	return res, err
 }
 
 // MineIndexed mines all frequent itemsets of size >= 1 with relative
 // support >= minSupport off a prebuilt Index — the query phase of
 // index/query-split mining. Frequent items are filtered from the
-// index's support counts at the requested threshold; no kernel touches
-// raw [][]ingredient.ID. Results are byte-identical to Mine on the
-// transactions the index was built from (pinned by the differential
+// index's support counts at the requested threshold; the kernel never
+// touches raw [][]ingredient.ID. Results are byte-identical to Mine on
+// the transactions the index was built from (pinned by the differential
 // layer), so callers can swap freely between the two paths.
 func MineIndexed(ix *Index, minSupport float64, opts MineOptions) (*Result, error) {
-	k := opts.Kernel
-	if k == KernelAuto {
-		k = ix.ChooseKernel()
-	}
-	switch k {
-	case KernelEclat:
-		return eclatMineIndexed(ix, minSupport, opts.Workers)
-	case KernelApriori:
-		return aprioriIndexed(ix, minSupport)
-	default:
-		return fpGrowthIndexed(ix, minSupport)
-	}
-}
-
-// Adaptive-selection thresholds (see DESIGN.md §10). The vertical
-// kernel's cost is bitmap words × items: it wins while the item
-// universe is modest and the columns are dense enough that popcount
-// sweeps do real work per word; past these bounds the FP-tree's
-// prefix sharing wins.
-const (
-	// maxEclatDistinct bounds the distinct-item count: above it the
-	// per-item bitmaps outgrow cache and the tree wins.
-	maxEclatDistinct = 4096
-	// maxEclatTxs bounds the transaction count, capping worst-case
-	// bitmap memory at maxEclatDistinct × maxEclatTxs/64 words.
-	maxEclatTxs = 1 << 20
-	// minEclatDensity is the minimum average column density
-	// (occurrences / (transactions × distinct items)): below ~1 set bit
-	// per word the AND sweeps are mostly zero work.
-	minEclatDensity = 1.0 / 64
-	// minEclatCompressedShare is the container-aware relaxation of the
-	// density bound, available only to Index.ChooseKernel (raw mining
-	// has no containers): a corpus too sparse for dense sweeps still
-	// mines well vertically when at least this fraction of its items
-	// sit in array/run containers, because galloping intersections cost
-	// per posting, not per bitmap word. Inclusive edge, pinned one off
-	// each side by TestChooseKernelCompressedShareBoundary.
-	minEclatCompressedShare = 0.75
-)
-
-// ChooseKernel picks the cheaper mining kernel for a transaction
-// database from three shape statistics: transaction count, distinct
-// item count, and density. Dense short transactions over a modest item
-// universe — recipes: size in [2, 38], mean ≈ 9, a few hundred
-// ingredients — go to the vertical bitset kernel; anything big or
-// sparse falls back to FP-Growth. The choice never affects results,
-// only speed.
-func ChooseKernel(txs [][]ingredient.ID) Kernel {
-	n := len(txs)
-	if n == 0 || n > maxEclatTxs {
-		return KernelFPGrowth
-	}
-	total := 0
-	var distinct int
-	seen := make(map[ingredient.ID]struct{}, 256)
-	for _, tx := range txs {
-		total += len(tx)
-		for _, it := range tx {
-			if _, ok := seen[it]; !ok {
-				seen[it] = struct{}{}
-				distinct++
-				if distinct > maxEclatDistinct {
-					return KernelFPGrowth
-				}
-			}
-		}
-	}
-	return chooseKernelFromStats(n, distinct, total)
-}
-
-// chooseKernelFromStats is the shared decision rule behind ChooseKernel
-// and Index.ChooseKernel: given the exact shape statistics — transaction
-// count, distinct item count, total item occurrences — pick the cheaper
-// kernel. Index.ChooseKernel reads these straight off the prebuilt
-// index instead of re-estimating them from raw transactions; both paths
-// decide identically by construction.
-func chooseKernelFromStats(n, distinct, total int) Kernel {
-	if n == 0 || n > maxEclatTxs {
-		return KernelFPGrowth
-	}
-	if distinct == 0 || distinct > maxEclatDistinct {
-		return KernelFPGrowth
-	}
-	density := float64(total) / (float64(n) * float64(distinct))
-	if density < minEclatDensity {
-		return KernelFPGrowth
-	}
-	return KernelEclat
+	return eclatMineIndexed(ix, minSupport, opts.Workers)
 }

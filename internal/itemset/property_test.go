@@ -16,14 +16,14 @@ func TestMiningOrderInvariance(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(15, 2+src.Intn(6))...)
 	}
-	base, err := FPGrowth(txs, 0.05)
+	base, err := mineRaw(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
 		shuffled := append([][]ingredient.ID(nil), txs...)
 		src.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		got, err := FPGrowth(shuffled, 0.05)
+		got, err := mineRaw(shuffled, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestMiningOrderInvariance(t *testing.T) {
 func TestMiningDuplicateTransactions(t *testing.T) {
 	txs := classicTxs()
 	doubled := append(append([][]ingredient.ID(nil), txs...), txs...)
-	a, err := FPGrowth(txs, 2.0/9)
+	a, err := mineRaw(txs, 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FPGrowth(doubled, 2.0/9)
+	b, err := mineRaw(doubled, 2.0/9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestMiningDuplicateTransactions(t *testing.T) {
 	}
 }
 
-// TestFPGrowthAprioriEquivalence: the flat-memory FP-Growth kernel and
-// Apriori must agree — byte-for-byte in canonical order — on randomized
-// duplicate-heavy transaction pools (the replicate-ensemble shape, where
+// TestMineAprioriEquivalence: Mine and the Apriori oracle must agree —
+// byte-for-byte in canonical order — on randomized duplicate-heavy
+// transaction pools (the replicate-ensemble shape, where
 // recipes are copies by construction) across a minSupport sweep,
 // including empty and singleton edge cases.
-func TestFPGrowthAprioriEquivalence(t *testing.T) {
+func TestMineAprioriEquivalence(t *testing.T) {
 	src := randx.New(4242)
 	supports := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 	for trial := 0; trial < 25; trial++ {
@@ -90,13 +90,13 @@ func TestFPGrowthAprioriEquivalence(t *testing.T) {
 		}
 		for _, sup := range supports {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resM, errM := mineRaw(txs, sup)
+			if errA != nil || errM != nil {
+				t.Fatal(errA, errM)
 			}
-			if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-				t.Fatalf("trial %d sup %v: kernels disagree in canonical order\nA: %v\nF: %v",
-					trial, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(resA.Sets, resM.Sets) {
+				t.Fatalf("trial %d sup %v: kernels disagree in canonical order\nA: %v\nM: %v",
+					trial, sup, resA.Sets, resM.Sets)
 			}
 		}
 	}
@@ -112,23 +112,23 @@ func TestFPGrowthAprioriEquivalence(t *testing.T) {
 	for i, txs := range edges {
 		for _, sup := range supports {
 			resA, errA := Apriori(txs, sup)
-			resF, errF := FPGrowth(txs, sup)
-			if errA != nil || errF != nil {
-				t.Fatal(errA, errF)
+			resM, errM := mineRaw(txs, sup)
+			if errA != nil || errM != nil {
+				t.Fatal(errA, errM)
 			}
-			if !reflect.DeepEqual(resA.Sets, resF.Sets) {
-				t.Fatalf("edge %d sup %v: kernels disagree\nA: %v\nF: %v", i, sup, resA.Sets, resF.Sets)
+			if !reflect.DeepEqual(resA.Sets, resM.Sets) {
+				t.Fatalf("edge %d sup %v: kernels disagree\nA: %v\nM: %v", i, sup, resA.Sets, resM.Sets)
 			}
 		}
 	}
 }
 
-// TestMinerScratchReuseIsClean: a single reused Miner must produce
+// TestMinerScratchReuseIsClean: a single reused miner must produce
 // results identical to fresh package-level calls, and earlier results
 // must stay intact after later mines (no aliasing into recycled
 // scratch).
 func TestMinerScratchReuseIsClean(t *testing.T) {
-	miner := NewMiner()
+	miner := newEclatMiner()
 	src := randx.New(17)
 	var kept []*Result
 	var want []map[string]int
@@ -137,11 +137,11 @@ func TestMinerScratchReuseIsClean(t *testing.T) {
 		for i := range txs {
 			txs[i] = tx(src.SampleInts(12, 1+src.Intn(6))...)
 		}
-		fresh, err := FPGrowth(txs, 0.05)
+		fresh, err := mineRaw(txs, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := miner.FPGrowth(txs, 0.05)
+		got, err := miner.mine(txs, 0.05, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSupersetTransactionsOnlyGrowCounts(t *testing.T) {
 	for i := range txs {
 		txs[i] = tx(src.SampleInts(10, 2+src.Intn(4))...)
 	}
-	base, err := FPGrowth(txs, 0.05)
+	base, err := mineRaw(txs, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSupersetTransactionsOnlyGrowCounts(t *testing.T) {
 	for i, x := range txs {
 		wider[i] = append(append([]ingredient.ID(nil), x...), 99)
 	}
-	grown, err := FPGrowth(wider, 0.05)
+	grown, err := mineRaw(wider, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
+
+	"cuisinevol/internal/atomicfile"
 )
 
 // ErrSnapshotCorrupt reports that a snapshot file failed verification:
@@ -84,7 +85,7 @@ func WriteSnapshot(path, node, corpus string, entries []SnapshotEntry) error {
 	data = append(data, header...)
 	data = append(data, '\n')
 	data = append(data, records.Bytes()...)
-	if err := writeAtomic(path, data); err != nil {
+	if err := atomicfile.WriteFile(path, ".snapshot-*", data); err != nil {
 		return fmt.Errorf("peering: writing snapshot: %w", err)
 	}
 	return nil
@@ -147,44 +148,4 @@ func ReadSnapshot(path string) (SnapshotMeta, []SnapshotEntry, error) {
 // the same preserve-don't-delete discipline as corpusstore quarantine.
 func QuarantineSnapshot(path string) error {
 	return os.Rename(path, path+".corrupt")
-}
-
-// writeAtomic writes data to path via a same-directory temp file:
-// write, fsync, rename, fsync directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss;
-// filesystems that refuse directory fsync still rename atomically, so
-// the error is not worth failing the write over.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

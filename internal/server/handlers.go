@@ -327,25 +327,17 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	support, serr := parseFloat(r, "support", s.opts.MinSupport, 0, 1)
 	top, terr := parseInt(r, "top", 25, 1, 100000)
 	categories, cerr := parseBool(r, "categories", false)
-	kernel, kerr := parseKernel(r)
-	if err = firstErr(err, serr, terr, cerr, kerr); err != nil {
+	if err = firstErr(err, serr, terr, cerr); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	// The kernel is part of the cache key even though every kernel
-	// returns byte-identical bodies: the key addresses the computation
-	// that was requested, and collapsing kernels in the key would make
-	// an explicit kernel=eclat request silently serve an fpgrowth
-	// entry — correct bytes, wrong observable (and vice versa). The
-	// handler tests pin both properties: identical bodies, distinct
-	// keys.
-	canon := canonicalParams("categories", categories, "kernel", kernel.String(), "region", region, "support", support, "top", top)
+	canon := canonicalParams("categories", categories, "region", region, "support", support, "top", top)
 	s.serveComputed(w, r, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
 		ix, err := s.viewIndex(sel, region, categories)
 		if err != nil {
 			return nil, err
 		}
-		res, err := itemset.MineIndexed(ix, support, itemset.MineOptions{Kernel: kernel, Workers: s.mineWorkers()})
+		res, err := itemset.MineIndexed(ix, support, itemset.MineOptions{Workers: s.mineWorkers()})
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +485,8 @@ func parseFloat(r *http.Request, name string, def, lo, hi float64) (float64, err
 	if err != nil {
 		return 0, badRequest("invalid %s %q: %v", name, raw, err)
 	}
-	if v <= lo || v > hi {
+	// Written so NaN, which fails every ordered comparison, is rejected.
+	if !(v > lo && v <= hi) {
 		return 0, badRequest("%s must be in (%g, %g], got %g", name, lo, hi, v)
 	}
 	return v, nil
@@ -538,17 +531,6 @@ func parseRegion(r *http.Request, sel corpusSel) (string, error) {
 		return "", notFound("unknown cuisine %q", code)
 	}
 	return code, nil
-}
-
-// parseKernel reads the mining-kernel parameter; the default is
-// adaptive selection.
-func parseKernel(r *http.Request) (itemset.Kernel, error) {
-	raw := r.URL.Query().Get("kernel")
-	k, err := itemset.ParseKernel(raw)
-	if err != nil {
-		return 0, badRequest("invalid kernel %q (use auto, fpgrowth, eclat or apriori)", raw)
-	}
-	return k, nil
 }
 
 // mineWorkers resolves the worker budget a single /v1/mine computation

@@ -109,6 +109,9 @@ func TestBadParamsAre400(t *testing.T) {
 		"/v1/overrep?region=ITA&k=100000",  // above range
 		"/v1/evolve?region=ITA&model=FOO",  // unknown model
 		"/v1/evolve?region=ITA&support=-1", // negative support
+		"/v1/mine?region=ITA&support=NaN",  // not a number
+		"/v1/fig3?support=NaN",
+		"/v1/evolve?region=ITA&support=NaN",
 	}
 	for _, path := range paths {
 		resp, body := get(t, ts, path)
