@@ -1,7 +1,7 @@
 # Development targets for the cuisinevol reproduction.
 #
-#   make check           CI-grade gate: vet + build + race tests + bench smoke
-#   make ci              what .github/workflows/ci.yml runs: vet + build + race tests
+#   make check           CI-grade gate: gofmt + vet + build + race tests + bench smoke
+#   make ci              what .github/workflows/ci.yml runs: gofmt + vet + build + race tests
 #   make serve           run the HTTP analytics service on :8080
 #   make fuzz            run every fuzz target for FUZZTIME (default 30s) each
 #   make loadtest        race-enabled overload/loadtest suite for the server
@@ -27,8 +27,9 @@ BENCH_PATTERN := Eclat|Fig3|Fig4|EvolveRun|EnsembleReplicates|IndexBuild|MineWar
 # even on noisy shared runners. MineWarmIndex rides along to keep the
 # pooled warm-query path allocation-flat, and MineWarmUnderWrites keeps
 # the snapshot-then-mine path under a write stream from growing hidden
-# per-query allocations.
-ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites
+# per-query allocations. EclatReplicateSupports keeps the count-only
+# replicate mine from growing per-set allocations.
+ALLOC_GATE_PATTERN := EvolveRun|EnsembleReplicates|Fig4|MineWarmIndex|MineWarmUnderWrites|EclatReplicateSupports
 
 .PHONY: check ci serve vet build test race fuzz soak loadtest loadtest-cluster bench-smoke bench-baseline benchgate benchgate-allocs corpus-roundtrip
 
@@ -43,7 +44,10 @@ ci: vet build race
 serve:
 	$(GO) run ./cmd/cuisinevol serve -addr :8080
 
+# vet fails on any file gofmt would rewrite, then runs go vet.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 build:

@@ -134,9 +134,11 @@ func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int)
 // runReplicate executes one model run and mines its combinations. This
 // is the zero-copy evolve→mine boundary: the pooled machine emits
 // sorted transactions (ingredient or category, per cfg.Categories)
-// directly into its own reusable buffers and hands them to itemset.Mine,
-// which encodes without mutating or retaining its input — no per-recipe
-// clone, no second sort, no per-replicate machine construction.
+// directly into its own reusable buffers and hands them to
+// itemset.MineSupports, which reads without mutating or retaining its
+// input and returns only the support series a distribution keeps — no
+// per-recipe clone, no second sort, no per-replicate machine
+// construction, no itemsets.
 func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
@@ -152,11 +154,11 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	} else {
 		txs = m.emitTransactions()
 	}
-	res, err := itemset.Mine(txs, cfg.MinSupport, itemset.MineOptions{})
+	freqs, err := itemset.MineSupports(txs, cfg.MinSupport)
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}
-	return rankfreq.FromResult(label, res), nil
+	return rankfreq.Distribution{Label: label, Freqs: freqs}, nil
 }
 
 // replicateSeed derives the seed for replicate rep from the base seed
@@ -166,25 +168,4 @@ func replicateSeed(base uint64, rep int) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// toCategoryTransactions maps ingredient transactions to sorted distinct
-// category sets (as ingredient.ID-compatible ints), the representation
-// used by the category-combination analyses.
-func toCategoryTransactions(txs [][]ingredient.ID, lex *ingredient.Lexicon) [][]ingredient.ID {
-	out := make([][]ingredient.ID, len(txs))
-	for i, tx := range txs {
-		var present [ingredient.NumCategories]bool
-		for _, id := range tx {
-			present[lex.CategoryOf(id)] = true
-		}
-		cats := make([]ingredient.ID, 0, 8)
-		for c, ok := range present {
-			if ok {
-				cats = append(cats, ingredient.ID(c))
-			}
-		}
-		out[i] = cats
-	}
-	return out
 }

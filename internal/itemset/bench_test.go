@@ -64,6 +64,26 @@ func BenchmarkEclatReplicatePool(b *testing.B) {
 	}
 }
 
+// BenchmarkEclatReplicateSupports is the replicate ensembles' actual
+// call on the same pool: the count-only MineSupports, which keeps the
+// support series and never builds or sorts itemsets. The delta to
+// BenchmarkEclatReplicatePool is what count-only saves per replicate.
+func BenchmarkEclatReplicateSupports(b *testing.B) {
+	txs := replicatePool(7, 30, 3000, 9, 300)
+	// One warm-up mine heats the miner pool so a 1-iteration alloc gate
+	// measures the steady state.
+	if _, err := MineSupports(txs, 0.05); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineSupports(txs, 0.05); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEclatReplicateSweep mines many replicate pools back to back,
 // the steady-state regime the ensemble workers run in: it measures
 // bitmap/scratch reuse through the kernel pool.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cuisinevol/internal/cuisine"
@@ -18,7 +19,8 @@ import (
 
 // allKernels runs Mine and MineIndexed (serial and parallel) on txs and
 // fails the test unless every Result is identical in canonical order to
-// Apriori's. It returns the agreed-upon result.
+// Apriori's, and unless MineSupports returns exactly Apriori's support
+// series. It returns the agreed-upon result.
 func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
@@ -51,7 +53,21 @@ func allKernels(t *testing.T, txs [][]ingredient.ID, minSupport float64, label s
 				label, run.name, base.Sets, run.name, got.Sets)
 		}
 	}
+	supportsAgree(t, txs, minSupport, base, label)
 	return base
+}
+
+// supportsAgree fails the test unless MineSupports on txs returns
+// exactly the oracle Result's support series.
+func supportsAgree(t *testing.T, txs [][]ingredient.ID, minSupport float64, base *Result, label string) {
+	t.Helper()
+	sups, err := MineSupports(txs, minSupport)
+	if err != nil {
+		t.Fatalf("%s: supports: %v", label, err)
+	}
+	if want := base.Supports(); !reflect.DeepEqual(want, sups) {
+		t.Fatalf("%s: MineSupports diverges from apriori\napriori: %v\nsupports: %v", label, want, sups)
+	}
 }
 
 // kernelsAgreeOnMaps is the weaker (itemset, support)-map agreement;
@@ -143,6 +159,89 @@ func TestDifferentialEdgeCorpora(t *testing.T) {
 		for _, sup := range []float64{0.01, 0.05, 0.34, 0.5, 1.0} {
 			allKernels(t, txs, sup, fmt.Sprintf("edge %s sup %v", name, sup))
 		}
+	}
+}
+
+// TestDifferentialIDTableCorpus drives the raw miner's ID table through
+// its hard cases: the int32 extremes and negative IDs, IDs spaced by
+// the table size, IDs that all share one home slot (every probe
+// collides), and more distinct items than a fresh table holds, so it
+// grows mid-count with collision chains in place.
+func TestDifferentialIDTableCorpus(t *testing.T) {
+	var fresh idTable
+	fresh.reset()
+	var colliding []int
+	for id := -1 << 20; len(colliding) < 40; id++ {
+		if fresh.home(ingredient.ID(id)) == fresh.home(0) {
+			colliding = append(colliding, id)
+		}
+	}
+	spaced := func(k int) []int {
+		out := make([]int, k)
+		for i := range out {
+			out[i] = (i - k/2) * idTableInitSlots
+		}
+		return out
+	}
+	growth := slices.Concat(spaced(3*idTableInitSlots/2), colliding)
+	slices.Sort(growth)
+	growth = slices.Compact(growth)
+	corpora := map[string][]int{
+		"extremes":  {math.MinInt32, math.MinInt32 + 1, -idTableInitSlots, -1, 0, 1, idTableInitSlots, math.MaxInt32 - 1, math.MaxInt32},
+		"spaced":    spaced(40),
+		"colliding": colliding,
+		"growth":    growth,
+	}
+
+	src := randx.New(20261017)
+	pick := func(ids []int, k int) []int {
+		out := make([]int, 0, k)
+		for _, i := range src.SampleInts(len(ids), k) {
+			out = append(out, ids[i])
+		}
+		return out
+	}
+	for name, ids := range corpora {
+		// Every ID once, so all of them are counted, then skewed
+		// samples so there are frequent items, pairs and triples.
+		txs := [][]ingredient.ID{tx(ids...)}
+		hot := ids[:min(len(ids), 6)]
+		for i := 0; i < 120; i++ {
+			r := pick(ids, 1+src.Intn(min(len(ids), 5)))
+			if i%2 == 0 {
+				r = append(r, hot[src.Intn(len(hot))], hot[src.Intn(len(hot))])
+			}
+			txs = append(txs, dedupSorted(tx(r...)))
+		}
+		for _, sup := range []float64{0.01, 0.05, 0.2, 0.5} {
+			allKernels(t, txs, sup, fmt.Sprintf("id-table %s sup %v", name, sup))
+		}
+	}
+}
+
+// TestIDTableResetDropsGrownStorage: a table grown past the retain cap
+// by one wide mine comes back at its initial size, empty, while a
+// smaller grown table is kept and cleared.
+func TestIDTableResetDropsGrownStorage(t *testing.T) {
+	var tab idTable
+	tab.reset()
+	for id := 0; id < idTableRetainSlots; id++ {
+		tab.inc(ingredient.ID(id))
+	}
+	if len(tab.keys) <= idTableRetainSlots {
+		t.Fatalf("table has %d slots after %d inserts", len(tab.keys), idTableRetainSlots)
+	}
+	tab.reset()
+	if len(tab.keys) != idTableInitSlots || tab.get(7) != 0 {
+		t.Fatalf("reset kept %d slots (want %d), get(7) = %d", len(tab.keys), idTableInitSlots, tab.get(7))
+	}
+	for id := 0; id < idTableInitSlots; id++ {
+		tab.inc(ingredient.ID(id))
+	}
+	grown := len(tab.keys)
+	tab.reset()
+	if len(tab.keys) != grown || tab.get(7) != 0 {
+		t.Fatalf("reset of a %d-slot table left %d slots, get(7) = %d", grown, len(tab.keys), tab.get(7))
 	}
 }
 

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,6 +63,12 @@ type eclatScratch struct {
 	// over safely between calls.
 	arenaFree []ingredient.ID
 	sets      []Itemset
+
+	// countOnly switches the emit sink to appending just each set's
+	// count to counts (see mineSupports); sets and the arena are left
+	// alone.
+	countOnly bool
+	counts    []int32
 }
 
 // levelAt returns the depth's bitset buffer with room for n words.
@@ -96,8 +103,13 @@ func (s *eclatScratch) classAt(depth int) []eclatExt {
 
 // emitWith records the itemset suffix∪{item} with the given count,
 // translating item order indices back to ingredient IDs sorted
-// ascending (the canonical itemset representation).
+// ascending (the canonical itemset representation). A count-only walk
+// records just the count.
 func (s *eclatScratch) emitWith(item int32, count int) {
+	if s.countOnly {
+		s.counts = append(s.counts, int32(count))
+		return
+	}
 	k := len(s.suffix) + 1
 	if len(s.arenaFree) < k {
 		size := emitArenaChunk
@@ -233,13 +245,14 @@ func (s *eclatScratch) expand(exts []eclatExt, depth int) {
 // serial path uses the miner's embedded scratch.
 var eclatWorkerPool = sync.Pool{New: func() any { return &eclatScratch{} }}
 
-// eclatMiner is the reusable vertical-kernel state: the counting and
-// dedup maps, the unique-transaction arena, the top-level bitmaps, and
-// a serial expansion scratch. Not safe for concurrent use; Mine draws
-// miners from a pool.
+// eclatMiner is the reusable vertical-kernel state: the item table,
+// the dedup map, the unique-transaction arena, the top-level bitmaps,
+// and a serial expansion scratch. Not safe for concurrent use; Mine and
+// MineSupports draw miners from a pool.
 type eclatMiner struct {
-	counts map[ingredient.ID]int
-	order  map[ingredient.ID]int32
+	// ids maps each item to its count during the counting pass, then
+	// to its order index + 1 if frequent, or -1 if not.
+	ids    idTable
 	dedup  map[string]int32
 	keyBuf []byte
 	buf    []int32
@@ -258,61 +271,105 @@ type eclatMiner struct {
 }
 
 func newEclatMiner() *eclatMiner {
-	return &eclatMiner{
-		counts: make(map[ingredient.ID]int),
-		order:  make(map[ingredient.ID]int32),
-		dedup:  make(map[string]int32),
-	}
+	return &eclatMiner{dedup: make(map[string]int32)}
 }
 
 func (m *eclatMiner) mine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	if err := checkSupport(minSupport); err != nil {
+	if err := m.prepare(txs, minSupport); err != nil {
 		return nil, err
 	}
-	if err := validateTransactions(txs); err != nil {
+	res := &Result{N: len(txs)}
+	if res.N == 0 {
+		return res, nil
+	}
+	if err := eclatRun(&m.shared, &m.scratch, res, workers); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// mineSupports is mine(txs, minSupport, 0).Supports() without the
+// itemsets: the serial walk emits only each set's count. The canonical
+// order's primary key is descending count, so the support series is
+// the multiset of counts sorted descending, each divided by n — the
+// same float64 division Supports performs, hence the same bytes.
+func (m *eclatMiner) mineSupports(txs [][]ingredient.ID, minSupport float64) ([]float64, error) {
+	if err := m.prepare(txs, minSupport); err != nil {
 		return nil, err
 	}
 	n := len(txs)
-	res := &Result{N: n}
 	if n == 0 {
-		return res, nil
+		return []float64{}, nil
+	}
+	sh := &m.shared
+	s := &m.scratch
+	s.sh = sh
+	s.counts = s.counts[:0]
+	for _, ic := range sh.freq {
+		s.counts = append(s.counts, int32(ic.count))
+	}
+	s.countOnly = true
+	for a := 0; a+1 < len(sh.freq); a++ {
+		s.top(a)
+	}
+	s.countOnly = false
+	slices.Sort(s.counts)
+	out := make([]float64, len(s.counts))
+	for i, c := range s.counts {
+		out[len(out)-1-i] = float64(c) / float64(n)
+	}
+	return out, nil
+}
+
+// prepare is the per-mine work shared by mine and mineSupports: the
+// input checks, the counting pass, the frequent items in mining order,
+// the transaction dedup and the bitmap layout. With no transactions it
+// stops after the checks.
+func (m *eclatMiner) prepare(txs [][]ingredient.ID, minSupport float64) error {
+	if err := checkSupport(minSupport); err != nil {
+		return err
+	}
+	if err := validateTransactions(txs); err != nil {
+		return err
+	}
+	n := len(txs)
+	if n == 0 {
+		return nil
 	}
 	sh := &m.shared
 	sh.mc = minCount(n, minSupport)
 
-	clear(m.counts)
+	t := &m.ids
+	t.reset()
 	for _, tx := range txs {
 		for _, it := range tx {
-			m.counts[it]++
+			t.inc(it)
+		}
+	}
+	sh.freq = sh.freq[:0]
+	for i, c := range t.vals {
+		if int(c) >= sh.mc {
+			sh.freq = append(sh.freq, itemCount{t.keys[i], int(c)})
+		} else if c != 0 {
+			t.vals[i] = -1
 		}
 	}
 	// Item order: ascending count, ties by ascending ID — the standard
 	// Eclat order, keeping early intersections small so classes thin out
 	// fast. Any fixed order yields the same canonical Result.
-	sh.freq = sh.freq[:0]
-	for it, c := range m.counts {
-		if c >= sh.mc {
-			sh.freq = append(sh.freq, itemCount{it, c})
-		}
-	}
 	sort.Slice(sh.freq, func(i, j int) bool {
 		if sh.freq[i].count != sh.freq[j].count {
 			return sh.freq[i].count < sh.freq[j].count
 		}
 		return sh.freq[i].item < sh.freq[j].item
 	})
-	clear(m.order)
 	for j, ic := range sh.freq {
-		m.order[ic.item] = int32(j)
+		t.vals[t.slot(ic.item)] = int32(j) + 1
 	}
 
 	m.dedupTransactions(txs)
 	m.buildBitmaps()
-
-	if err := eclatRun(sh, &m.scratch, res, workers); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return nil
 }
 
 // eclatRun is the expansion phase shared by the raw and indexed paths:
@@ -451,9 +508,11 @@ func (s *eclatScratch) emitSingleton(ic itemCount) {
 
 // dedupTransactions projects every transaction onto the frequent items
 // and collapses identical projections into (transaction, weight) pairs.
-// Replicate pools are copies by construction, so the unique-transaction
-// count (and with it every bitmap's length) is typically several-fold
-// smaller than the input.
+// Transactions ascend by ID, so a projection listed in ID order is
+// already a canonical dedup key; its order indices need no sort, since
+// buildBitmaps only sets bits. Replicate pools are copies by
+// construction, so the unique-transaction count (and with it every
+// bitmap's length) is typically several-fold smaller than the input.
 func (m *eclatMiner) dedupTransactions(txs [][]ingredient.ID) {
 	sh := &m.shared
 	clear(m.dedup)
@@ -465,14 +524,13 @@ func (m *eclatMiner) dedupTransactions(txs [][]ingredient.ID) {
 	for _, tx := range txs {
 		buf = buf[:0]
 		for _, it := range tx {
-			if idx, ok := m.order[it]; ok {
-				buf = append(buf, idx)
+			if v := m.ids.get(it); v > 0 {
+				buf = append(buf, v-1)
 			}
 		}
 		if len(buf) == 0 {
 			continue
 		}
-		sortInt32s(buf)
 		m.keyBuf = m.keyBuf[:0]
 		if wide {
 			for _, v := range buf {
@@ -540,16 +598,6 @@ func (m *eclatMiner) buildBitmaps() {
 	if sh.weighted {
 		for len(sh.weights) < sh.words*64 {
 			sh.weights = append(sh.weights, 0)
-		}
-	}
-}
-
-// sortInt32s sorts small index slices in place (insertion sort; filtered
-// transactions are recipe-sized).
-func sortInt32s(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 
 // allKernelsIndexed mirrors allKernels for a given index: MineIndexed,
 // serial and parallel, must reproduce the raw Apriori Result
-// byte-for-byte on the transactions the index was built from.
+// byte-for-byte on the transactions the index was built from, and
+// MineSupports its support series.
 func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSupport float64, label string) *Result {
 	t.Helper()
 	base, err := Apriori(txs, minSupport)
@@ -39,6 +40,7 @@ func allKernelsIndexed(t *testing.T, ix *Index, txs [][]ingredient.ID, minSuppor
 				label, run.name, base.Sets, run.name, got.Sets)
 		}
 	}
+	supportsAgree(t, txs, minSupport, base, label)
 	return base
 }
 

@@ -1,10 +1,10 @@
 // Package itemset implements frequent-itemset mining over recipe
 // transactions: the combinations "of size 1 and greater which appeared in
-// at least 5% of all recipes in a cuisine" (paper, §IV). Mine and
-// MineIndexed run one kernel, Eclat (Zaki's vertical tidset miner); the
-// level-wise Apriori in the package tests is its oracle, and the
-// differential and fuzz tests pin the two to byte-identical canonical
-// results.
+// at least 5% of all recipes in a cuisine" (paper, §IV). Mine,
+// MineIndexed and the count-only MineSupports run one kernel, Eclat
+// (Zaki's vertical tidset miner); the level-wise Apriori in the package
+// tests is its oracle, and the differential and fuzz tests pin them to
+// byte-identical canonical results.
 //
 // The vertical layout is built over the deduped transaction arena: the
 // transactions are projected onto the frequent items, identical

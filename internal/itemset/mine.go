@@ -23,6 +23,18 @@ func Mine(txs [][]ingredient.ID, minSupport float64, opts MineOptions) (*Result,
 	return res, err
 }
 
+// MineSupports returns exactly Mine(txs, minSupport,
+// MineOptions{}).Supports(): the relative supports of the frequent
+// itemsets in canonical order. It runs the same checks, preparation and
+// Eclat walk as Mine but never builds, sorts or returns the itemsets —
+// the replicate-ensemble path, which keeps only the support series.
+func MineSupports(txs [][]ingredient.ID, minSupport float64) ([]float64, error) {
+	m := eclatPool.Get().(*eclatMiner)
+	out, err := m.mineSupports(txs, minSupport)
+	eclatPool.Put(m)
+	return out, err
+}
+
 // MineIndexed mines all frequent itemsets of size >= 1 with relative
 // support >= minSupport off a prebuilt Index — the query phase of
 // index/query-split mining. Frequent items are filtered from the
