@@ -113,10 +113,10 @@ bench-baseline:
 # BENCH_TOLERANCE against the committed baseline (ns/op or allocs/op).
 # The fresh JSON is discarded — the committed baseline only moves via
 # `make bench-baseline`. Advisory in CI (shared-runner noise); normative
-# on quiet hardware.
+# on quiet hardware. -cpu 1 matches the baseline's "gomaxprocs" field.
 BENCH_TOLERANCE ?= 0.15
 benchgate:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1 ./... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_fig_pipeline.json -tolerance $(BENCH_TOLERANCE) > /dev/null
 
 # corpus-roundtrip proves the content-addressing contract end to end
@@ -139,9 +139,12 @@ corpus-roundtrip:
 
 # benchgate-allocs gates only the simulation benchmarks, and only on
 # allocs/op (deterministic, noise-free): >ALLOC_TOLERANCE growth against
-# the committed baseline fails. This is the non-advisory CI gate.
+# the committed baseline fails. This is the non-advisory CI gate. It
+# runs at -cpu 1, the baseline's "gomaxprocs" field: at more Ps, a
+# benchmark's warm-up machine can sit in another P's sync.Pool slot and
+# the measured loop allocates a fresh one.
 ALLOC_TOLERANCE ?= 0.25
 benchgate-allocs:
-	$(GO) test -run '^$$' -bench '$(ALLOC_GATE_PATTERN)' -benchmem -benchtime 1x ./... \
+	$(GO) test -run '^$$' -bench '$(ALLOC_GATE_PATTERN)' -benchmem -benchtime 1x -cpu 1 ./... \
 		| $(GO) run ./cmd/benchjson -compare BENCH_fig_pipeline.json \
 			-alloc-gate '$(ALLOC_GATE_PATTERN)' -alloc-tolerance $(ALLOC_TOLERANCE) > /dev/null

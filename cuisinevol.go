@@ -28,6 +28,7 @@
 package cuisinevol
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -148,7 +149,7 @@ var sharedIndexes = itemset.NewIndexCache(64 << 20)
 // the experiment harness's, so any layer's build serves the others.
 func viewIndex(c *Corpus, region string, categories bool) (*itemset.Index, error) {
 	key := itemset.IndexKey(c.Fingerprint(), region, categories)
-	return sharedIndexes.Get(key, func() ([][]ingredient.ID, error) {
+	return sharedIndexes.Get(context.Background(), key, func() ([][]ingredient.ID, error) {
 		view := c.Region(region)
 		if region == "" {
 			view = c.AllView()

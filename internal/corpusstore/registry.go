@@ -2,9 +2,11 @@ package corpusstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 
+	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/recipe"
 )
@@ -12,7 +14,7 @@ import (
 // RegistryStats is a snapshot of a Registry's counters, exposed on
 // /metrics next to the result- and index-cache families.
 type RegistryStats struct {
-	Loads         uint64 // store loads executed (singleflight-deduplicated)
+	Loads         uint64 // store loads executed (coalesced per corpus)
 	LoadHits      uint64 // Resolves served from a memoized corpus
 	LoadMisses    uint64 // Resolves that had to load (or join an in-flight load)
 	LoadedBytes   int64  // serialized bytes of memoized corpora
@@ -26,8 +28,9 @@ type RegistryStats struct {
 // Registry owns named corpora on top of a content-addressed Store. It
 // assigns name@version bindings at registration, resolves references
 // (name, name@version, or raw fingerprint), and memoizes loaded
-// *recipe.Corpus values behind singleflight so concurrent requests for
-// a cold corpus trigger exactly one store read + parse.
+// *recipe.Corpus values behind a flight.Group (DESIGN.md §8) so
+// concurrent requests for a cold corpus trigger exactly one store read
+// + parse.
 //
 // Loaded corpora are immutable; a Delete drops the memo entry and the
 // stored bytes but never touches a loaded corpus another request still
@@ -40,7 +43,7 @@ type Registry struct {
 	mu       sync.Mutex
 	versions map[string]map[int]string // name -> version -> id
 	loaded   map[string]*loadedCorpus  // id -> memoized corpus
-	flight   map[string]*loadCall      // id -> in-flight load
+	flight   flight.Group[loadResult]  // id -> in-flight load
 
 	loads, loadHits, loadMisses, puts, deletes uint64
 	loadedBytes                                int64
@@ -51,12 +54,10 @@ type loadedCorpus struct {
 	bytes  int64
 }
 
-// loadCall is one in-flight load; waiters block on done.
-type loadCall struct {
-	done   chan struct{}
+// loadResult is what one coalesced load hands its waiters.
+type loadResult struct {
 	corpus *recipe.Corpus
 	info   Info
-	err    error
 }
 
 // NewRegistry builds a registry over store, rebuilding the name table
@@ -75,7 +76,6 @@ func NewRegistry(store Store, lex *ingredient.Lexicon) (*Registry, error) {
 		lex:      lex,
 		versions: make(map[string]map[int]string),
 		loaded:   make(map[string]*loadedCorpus),
-		flight:   make(map[string]*loadCall),
 	}
 	for _, info := range infos {
 		if err := ValidateName(info.Name); err != nil || info.Version < 1 {
@@ -208,53 +208,66 @@ func (r *Registry) resolveID(ref string) (string, error) {
 	return id, nil
 }
 
-// Resolve returns the corpus a reference names, loading and memoizing
-// it on first use. Concurrent Resolves of a cold corpus share one
-// load; the loaded corpus is verified against its content fingerprint
-// (mismatch is ErrCorrupt and nothing is memoized).
+// Resolve is ResolveCtx without a deadline.
 func (r *Registry) Resolve(ref string) (*recipe.Corpus, Info, error) {
+	return r.ResolveCtx(context.Background(), ref)
+}
+
+// ResolveCtx returns the corpus a reference names, loading and
+// memoizing it on first use. Concurrent Resolves of a cold corpus share
+// one load; the loaded corpus is verified against its content
+// fingerprint (mismatch is ErrCorrupt and nothing is memoized). A
+// caller whose ctx ends stops waiting and gets ctx.Err().
+func (r *Registry) ResolveCtx(ctx context.Context, ref string) (*recipe.Corpus, Info, error) {
 	id, err := r.resolveID(ref)
 	if err != nil {
 		return nil, Info{}, err
 	}
-
-	r.mu.Lock()
-	if lc, ok := r.loaded[id]; ok {
-		// The memo can outlive the store entry (delete-while-pinned);
-		// report whatever Info the store still has, falling back to a
-		// minimal one.
-		info, serr := r.store.Stat(id)
-		if serr != nil {
-			info = Info{ID: id, Recipes: lc.corpus.Len(), Regions: len(lc.corpus.Regions()), Bytes: lc.bytes}
+	if res, ok := r.memo(id, &r.loadHits, &r.loadMisses); ok {
+		return res.corpus, res.info, nil
+	}
+	res, err, _ := r.flight.Do(ctx, id, func(fctx context.Context) (loadResult, error) {
+		// A load that completed between this Resolve's miss and its
+		// flight leadership already memoized the corpus.
+		if res, ok := r.memo(id, nil, &r.loads); ok {
+			return res, nil
 		}
-		r.loadHits++
-		r.mu.Unlock()
-		return lc.corpus, info, nil
-	}
-	r.loadMisses++
-	if call, ok := r.flight[id]; ok {
-		r.mu.Unlock()
-		<-call.done
-		return call.corpus, call.info, call.err
-	}
-	call := &loadCall{done: make(chan struct{})}
-	r.flight[id] = call
-	r.loads++
-	r.mu.Unlock()
-
-	call.corpus, call.info, call.err = r.load(id)
-	close(call.done)
-
-	r.mu.Lock()
-	delete(r.flight, id)
-	if call.err == nil {
-		if _, ok := r.loaded[id]; !ok {
-			r.loaded[id] = &loadedCorpus{corpus: call.corpus, bytes: call.info.Bytes}
-			r.loadedBytes += call.info.Bytes
+		corpus, info, err := r.load(id)
+		if err != nil {
+			return loadResult{}, err
 		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		// A load Delete forgot still serves its waiters, but must not
+		// memoize the deleted corpus.
+		if _, ok := r.loaded[id]; !ok && !r.flight.Forgotten(fctx) {
+			r.loaded[id] = &loadedCorpus{corpus: corpus, bytes: info.Bytes}
+			r.loadedBytes += info.Bytes
+		}
+		return loadResult{corpus, info}, nil
+	})
+	return res.corpus, res.info, err
+}
+
+// memo returns the memoized corpus for id, counting the outcome in *hit
+// (unless nil) or *miss. The memo can outlive the store entry
+// (delete-while-pinned); the Info then falls back to a minimal one.
+func (r *Registry) memo(id string, hit, miss *uint64) (loadResult, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lc, ok := r.loaded[id]
+	switch {
+	case !ok:
+		*miss++
+		return loadResult{}, false
+	case hit != nil:
+		*hit++
 	}
-	r.mu.Unlock()
-	return call.corpus, call.info, call.err
+	info, err := r.store.Stat(id)
+	if err != nil {
+		info = Info{ID: id, Recipes: lc.corpus.Len(), Regions: len(lc.corpus.Regions()), Bytes: lc.bytes}
+	}
+	return loadResult{lc.corpus, info}, true
 }
 
 // load reads and parses one corpus from the store, verifying content
@@ -305,6 +318,9 @@ func (r *Registry) Delete(ref string) (Info, error) {
 		r.loadedBytes -= lc.bytes
 		delete(r.loaded, id)
 	}
+	// A load in flight for id must not memoize the corpus once it
+	// completes, or the deleted corpus would still resolve by ID.
+	r.flight.Forget(func(key string) bool { return key == id })
 	r.deletes++
 	return info, nil
 }

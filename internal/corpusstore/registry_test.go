@@ -1,12 +1,15 @@
 package corpusstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingest"
 	"cuisinevol/internal/recipe"
 )
@@ -287,4 +290,159 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// hookStore wraps a Store and runs onGet after each successful inner
+// Get, so a test can panic inside a load or hold it mid-flight.
+type hookStore struct {
+	Store
+	onGet func()
+}
+
+func (s *hookStore) Get(id string) ([]byte, Info, error) {
+	data, info, err := s.Store.Get(id)
+	if err == nil && s.onGet != nil {
+		s.onGet()
+	}
+	return data, info, err
+}
+
+// coldRegistry registers a corpus in a shared MemStore, then opens a
+// second registry over hs wrapping it, so the first Resolve must load.
+func coldRegistry(t *testing.T, hs *hookStore) (*Registry, Info) {
+	t.Helper()
+	mem := NewMemStore(0)
+	seed, err := NewRegistry(mem, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := seed.Register("cold", testCorpus(t, "sumac"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs.Store = mem
+	reg, err := NewRegistry(hs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, info
+}
+
+type resolved struct {
+	corpus *recipe.Corpus
+	err    error
+}
+
+// resolveAsync runs one ResolveCtx on its own goroutine; a panic
+// escaping it is reported as an error instead of killing the test.
+func resolveAsync(ctx context.Context, reg *Registry, ref string) <-chan resolved {
+	got := make(chan resolved, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				got <- resolved{err: fmt.Errorf("Resolve panicked: %v", r)}
+			}
+		}()
+		c, _, err := reg.ResolveCtx(ctx, ref)
+		got <- resolved{c, err}
+	}()
+	return got
+}
+
+// within waits at most 2 s for a resolve, so a poisoned key fails the
+// test instead of hanging the suite.
+func within(t *testing.T, got <-chan resolved) resolved {
+	t.Helper()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(2 * time.Second):
+		t.Fatal("Resolve still blocked after 2s")
+		return resolved{}
+	}
+}
+
+// TestRegistryPanickingLoadFreesKey: a store whose Get panics fails
+// that Resolve with a *flight.PanicError, and the next Resolve returns
+// and loads instead of waiting on a load that never ends.
+func TestRegistryPanickingLoadFreesKey(t *testing.T) {
+	var panics atomic.Int32
+	hs := &hookStore{onGet: func() {
+		if panics.Add(1) == 1 {
+			panic("store exploded")
+		}
+	}}
+	reg, info := coldRegistry(t, hs)
+	r := within(t, resolveAsync(context.Background(), reg, info.ID))
+	var pe *flight.PanicError
+	if !errors.As(r.err, &pe) || pe.Value != "store exploded" {
+		t.Fatalf("panicking load: err = %v, want *flight.PanicError", r.err)
+	}
+	r = within(t, resolveAsync(context.Background(), reg, info.ID))
+	if r.err != nil || r.corpus == nil || r.corpus.Fingerprint() != info.ID {
+		t.Fatalf("Resolve after a panicked load: err = %v", r.err)
+	}
+	if st := reg.Stats(); st.Loads != 2 || st.LoadedEntries != 1 {
+		t.Fatalf("stats = %+v, want loads=2 loadedEntries=1", st)
+	}
+}
+
+// TestRegistryDeleteDuringLoadDoesNotMemoize: a corpus deleted while
+// its load is in flight must not be memoized when the load completes,
+// or it would still resolve by fingerprint after the delete.
+func TestRegistryDeleteDuringLoadDoesNotMemoize(t *testing.T) {
+	loading := make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	hs := &hookStore{onGet: func() {
+		once.Do(func() { close(loading) })
+		<-gate
+	}}
+	reg, info := coldRegistry(t, hs)
+	inFlight := resolveAsync(context.Background(), reg, info.ID)
+	<-loading
+	if _, err := reg.Delete(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if r := within(t, inFlight); r.err != nil || r.corpus == nil {
+		t.Fatalf("in-flight Resolve: err = %v, want the corpus it loaded", r.err)
+	}
+	if _, _, err := reg.Resolve(info.ID); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Resolve after delete = %v, want ErrNotFound", err)
+	}
+	if st := reg.Stats(); st.LoadedEntries != 0 || st.LoadedBytes != 0 {
+		t.Fatalf("deleted corpus memoized: loadedEntries=%d loadedBytes=%d, want 0/0", st.LoadedEntries, st.LoadedBytes)
+	}
+}
+
+// TestRegistryWaiterHonorsContext: a Resolve whose ctx is cancelled
+// while the load it joined is blocked returns ctx.Err() at once.
+func TestRegistryWaiterHonorsContext(t *testing.T) {
+	loading := make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	hs := &hookStore{onGet: func() {
+		once.Do(func() { close(loading) })
+		<-gate
+	}}
+	reg, info := coldRegistry(t, hs)
+	leader := resolveAsync(context.Background(), reg, info.ID)
+	<-loading
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := resolveAsync(ctx, reg, info.ID)
+	for reg.Stats().LoadMisses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if r := within(t, waiter); !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", r.err)
+	}
+	close(gate)
+	if r := within(t, leader); r.err != nil {
+		t.Fatalf("leader: %v", r.err)
+	}
+	if st := reg.Stats(); st.Loads != 1 || st.LoadedEntries != 1 {
+		t.Fatalf("stats = %+v, want loads=1 loadedEntries=1", st)
+	}
 }

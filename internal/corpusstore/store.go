@@ -1,7 +1,7 @@
 // Package corpusstore is the multi-corpus storage subsystem: a
 // content-addressed Store for serialized corpora (in-memory and durable
 // filesystem implementations), a Registry that owns corpus names and
-// memoizes loaded corpora behind singleflight, and a streaming importer
+// memoizes loaded corpora behind a flight.Group, and a streaming importer
 // that turns raw CSV/JSONL recipe files into registered corpora with
 // bounded memory (DESIGN.md §13).
 //

@@ -104,9 +104,9 @@ func runEnsemble(ctx context.Context, cfg EnsembleConfig, lex *ingredient.Lexico
 		}
 		return nil
 	}); err != nil {
-		// A hook-injected failure (sched's fault seam) bypasses the fn
-		// wrapper above; re-wrap it so every replicate death, injected or
-		// real, is the same typed error.
+		// A hook-injected failure (sched's fault seam) or a recovered
+		// panic bypasses the fn wrapper above; re-wrap it so every
+		// replicate death, injected or real, is the same typed error.
 		var ie *sched.ItemError
 		if errors.As(err, &ie) {
 			err = &ReplicateError{Model: label, Replicate: ie.Item, Err: ie.Err}

@@ -128,11 +128,11 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *
 		if i == len(regions) {
 			// The aggregate corpus mine (the "ALL" series) is the largest
 			// item; it runs alongside the per-cuisine mines.
-			d, err := mineView(corpus.AllView(), fp, indexes, minSupport, categories)
+			d, err := mineView(ctx, corpus.AllView(), fp, indexes, minSupport, categories)
 			d.Label = "ALL"
 			return d, err
 		}
-		return mineView(corpus.Region(regions[i].Code), fp, indexes, minSupport, categories)
+		return mineView(ctx, corpus.Region(regions[i].Code), fp, indexes, minSupport, categories)
 	})
 	if err != nil {
 		return Fig3Panel{}, err
@@ -167,9 +167,9 @@ func buildPanel(ctx context.Context, corpus *recipe.Corpus, fp string, indexes *
 // labeled with the view's region. The key matches the serving layer's
 // (AllView's region is ""), so a panel built by a request handler and
 // one built here converge on the same prebuilt indexes.
-func mineView(view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool) (rankfreq.Distribution, error) {
+func mineView(ctx context.Context, view recipe.View, fp string, indexes *itemset.IndexCache, minSupport float64, categories bool) (rankfreq.Distribution, error) {
 	key := itemset.IndexKey(fp, view.Region(), categories)
-	ix, err := indexes.Get(key, func() ([][]ingredient.ID, error) {
+	ix, err := indexes.Get(ctx, key, func() ([][]ingredient.ID, error) {
 		if categories {
 			return view.CategoryTransactions(), nil
 		}

@@ -146,7 +146,7 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
 	empirical, err := sched.CollectCtx(ctx, cfg.Workers, len(regions), func(r int) (rankfreq.Distribution, error) {
-		return mineView(corpus.Region(regions[r]), fp, indexes, minSupport, opts.Categories)
+		return mineView(ctx, corpus.Region(regions[r]), fp, indexes, minSupport, opts.Categories)
 	})
 	if err != nil {
 		return nil, err
@@ -171,8 +171,9 @@ func RunFig4Ctx(ctx context.Context, cfg *Config, opts Fig4Options) (*Fig4Result
 		repDists[e][rep] = d
 		return nil
 	}); err != nil {
-		// Hook-injected item failures bypass the wrapper above; decode the
-		// flattened grid index back into (cuisine, kind, replicate).
+		// Hook-injected item failures and recovered panics bypass the
+		// wrapper above; decode the flattened grid index back into
+		// (cuisine, kind, replicate).
 		var ie *sched.ItemError
 		if errors.As(err, &ie) {
 			e, rep := ie.Item/replicates, ie.Item%replicates

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -48,7 +49,7 @@ func RunTableI(cfg *Config) (*TableIResult, error) {
 	fp := corpus.Fingerprint()
 	indexes := cfg.Indexes()
 	viewIndex := func(region string) (*itemset.Index, error) {
-		return indexes.Get(itemset.IndexKey(fp, region, false), func() ([][]ingredient.ID, error) {
+		return indexes.Get(context.Background(), itemset.IndexKey(fp, region, false), func() ([][]ingredient.ID, error) {
 			if region == "" {
 				return corpus.AllView().Transactions(), nil
 			}

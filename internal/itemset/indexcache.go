@@ -2,10 +2,12 @@ package itemset
 
 import (
 	"container/list"
+	"context"
 	"strconv"
 	"strings"
 	"sync"
 
+	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
 )
 
@@ -23,7 +25,7 @@ func IndexKey(corpusFingerprint, region string, categories bool) string {
 
 // IndexCacheStats is a snapshot of an IndexCache's counters.
 type IndexCacheStats struct {
-	Builds        uint64 // index builds executed (singleflight-deduplicated)
+	Builds        uint64 // index builds executed (coalesced per key)
 	Hits          uint64 // Gets served from a cached index
 	Misses        uint64 // Gets that had to build (or join an in-flight build)
 	Evictions     uint64 // indexes evicted to fit the byte budget
@@ -44,16 +46,17 @@ type IndexCacheStats struct {
 }
 
 // IndexCache is a byte-budget LRU of immutable corpus indexes with
-// singleflight builds: concurrent Gets for the same key share one
-// BuildIndex run, and completed indexes are retained until the budget
-// forces eviction. Safe for concurrent use.
+// coalesced builds: concurrent Gets for the same key share one
+// BuildIndex run (a flight.Group, DESIGN.md §8), and completed indexes
+// are retained until the budget forces eviction. Safe for concurrent
+// use.
 type IndexCache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
 	order   *list.List // front = most recently used; values are *indexEntry
 	entries map[string]*list.Element
-	flight  map[string]*indexCall
+	flight  flight.Group[*Index]
 
 	builds, hits, misses, evictions, invalidations uint64
 	arrays, bitsets, runs, bytesSaved              uint64
@@ -64,74 +67,66 @@ type indexEntry struct {
 	ix  *Index
 }
 
-// indexCall is one in-flight build; waiters block on done. dropped is
-// set (under IndexCache.mu) when the build's fingerprint is invalidated
-// mid-flight: waiters still receive the built index — it is immutable
-// and valid — but the completion must not cache it, or a deleted
-// corpus's index would resurrect and sit on the byte budget.
-type indexCall struct {
-	done    chan struct{}
-	ix      *Index
-	err     error
-	dropped bool
-}
-
 // NewIndexCache returns a cache bounded at budget bytes of retained
 // index memory. budget <= 0 disables retention: every Get builds (still
-// singleflight-coalesced with concurrent identical Gets).
+// coalesced with concurrent identical Gets).
 func NewIndexCache(budget int64) *IndexCache {
 	return &IndexCache{
 		budget:  budget,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
-		flight:  make(map[string]*indexCall),
 	}
 }
 
 // Get returns the index cached under key, building it from source's
 // transactions on first use. source is invoked at most once per
 // in-flight key no matter how many goroutines ask concurrently; its
-// error is propagated to every waiter and nothing is cached. The
-// returned Index is immutable and remains valid after eviction.
-func (c *IndexCache) Get(key string, source func() ([][]ingredient.ID, error)) (*Index, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(el)
-		ix := el.Value.(*indexEntry).ix
-		c.mu.Unlock()
+// error (or its panic, as a *flight.PanicError) is propagated to every
+// waiter and nothing is cached. A waiter whose ctx ends returns
+// ctx.Err(). The returned Index is immutable and remains valid after
+// eviction.
+func (c *IndexCache) Get(ctx context.Context, key string, source func() ([][]ingredient.ID, error)) (*Index, error) {
+	if ix, ok := c.lookup(key, &c.hits, &c.misses); ok {
 		return ix, nil
 	}
-	c.misses++
-	if call, ok := c.flight[key]; ok {
-		c.mu.Unlock()
-		<-call.done
-		return call.ix, call.err
-	}
-	call := &indexCall{done: make(chan struct{})}
-	c.flight[key] = call
-	c.builds++
-	c.mu.Unlock()
+	ix, err, _ := c.flight.Do(ctx, key, func(fctx context.Context) (*Index, error) {
+		// A build that completed between this Get's miss and its flight
+		// leadership already cached the index.
+		if ix, ok := c.lookup(key, nil, &c.builds); ok {
+			return ix, nil
+		}
+		ix, err := buildFromSource(source)
+		if err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.countContainers(ix)
+		// A build whose fingerprint was invalidated mid-flight still
+		// serves its waiters, but must not resurrect in the cache.
+		if !c.flight.Forgotten(fctx) {
+			c.put(key, ix)
+		}
+		return ix, nil
+	})
+	return ix, err
+}
 
-	call.ix, call.err = buildFromSource(source)
-	close(call.done)
-
+// lookup returns the index cached under key, marking it most recently
+// used, and counts the outcome in *hit (unless nil) or *miss.
+func (c *IndexCache) lookup(key string, hit, miss *uint64) (*Index, bool) {
 	c.mu.Lock()
-	delete(c.flight, key)
-	if call.err == nil {
-		c.countContainers(call.ix)
-	}
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	switch {
-	case call.dropped:
-		// Invalidated while building: hand the result to waiters but
-		// keep it out of the cache, and count the drop with the entries
-		// InvalidateFingerprint removed directly.
-		c.invalidations++
-	case call.err == nil:
-		c.put(key, call.ix)
+	case !ok:
+		*miss++
+		return nil, false
+	case hit != nil:
+		*hit++
 	}
-	c.mu.Unlock()
-	return call.ix, call.err
+	c.order.MoveToFront(el)
+	return el.Value.(*indexEntry).ix, true
 }
 
 // buildFromSource materializes the transactions and builds the index.
@@ -143,18 +138,18 @@ func buildFromSource(source func() ([][]ingredient.ID, error)) (*Index, error) {
 	return BuildIndex(txs)
 }
 
-// put inserts under c.mu, evicting LRU entries to fit the budget.
-// Indexes larger than the whole budget are returned to callers but not
-// retained.
-func (c *IndexCache) put(key string, ix *Index) {
+// put inserts under c.mu, evicting LRU entries to fit the budget, and
+// reports whether it did. Indexes larger than the whole budget are
+// returned to callers but not retained.
+func (c *IndexCache) put(key string, ix *Index) bool {
 	size := ix.Bytes()
 	if size > c.budget {
-		return
+		return false
 	}
 	if _, ok := c.entries[key]; ok {
 		// A racing build for the same key already landed; same content
 		// fingerprint implies an equivalent index — keep the incumbent.
-		return
+		return false
 	}
 	for c.used+size > c.budget {
 		back := c.order.Back()
@@ -169,6 +164,7 @@ func (c *IndexCache) put(key string, ix *Index) {
 	}
 	c.entries[key] = c.order.PushFront(&indexEntry{key: key, ix: ix})
 	c.used += size
+	return true
 }
 
 // Put inserts an externally built index — a LiveIndex snapshot derived
@@ -182,12 +178,7 @@ func (c *IndexCache) put(key string, ix *Index) {
 func (c *IndexCache) Put(key string, ix *Index) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	before := len(c.entries)
-	c.put(key, ix)
-	if len(c.entries) != before {
+	if c.put(key, ix) {
 		c.countContainers(ix)
 	}
 }
@@ -223,15 +214,12 @@ func (c *IndexCache) InvalidateFingerprint(fp string) int {
 		c.used -= el.Value.(*indexEntry).ix.Bytes()
 		removed++
 	}
-	c.invalidations += uint64(removed)
 	// Builds still in flight for this fingerprint must not land in the
 	// cache when they complete — without this, a Get racing the
-	// invalidation resurrects the deleted corpus's index.
-	for key, call := range c.flight {
-		if strings.HasPrefix(key, prefix) {
-			call.dropped = true
-		}
-	}
+	// invalidation resurrects the deleted corpus's index. They count
+	// with the entries removed directly.
+	dropped := c.flight.Forget(func(key string) bool { return strings.HasPrefix(key, prefix) })
+	c.invalidations += uint64(removed + dropped)
 	return removed
 }
 

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func TestInvalidateFingerprintDropsInFlightBuild(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		ix, err := c.Get(key, source)
+		ix, err := c.Get(context.Background(), key, source)
 		got <- result{ix, err}
 	}()
 	<-building
@@ -61,7 +62,7 @@ func TestInvalidateFingerprintDropsInFlightBuild(t *testing.T) {
 
 	// The key is rebuildable: a later Get (say, the corpus re-imported
 	// with identical content) builds fresh and caches normally.
-	rebuilt, err := c.Get(key, func() ([][]ingredient.ID, error) { return classicTxs(), nil })
+	rebuilt, err := c.Get(context.Background(), key, func() ([][]ingredient.ID, error) { return classicTxs(), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestInvalidateFingerprintSparesOtherFlights(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			if _, err := c.Get(key, source); err != nil {
+			if _, err := c.Get(context.Background(), key, source); err != nil {
 				t.Error(err)
 			}
 		}(key)
@@ -106,7 +107,7 @@ func TestInvalidateFingerprintSparesOtherFlights(t *testing.T) {
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1 (only the live fingerprint cached)", st.Entries)
 	}
-	if _, err := c.Get(liveKey, func() ([][]ingredient.ID, error) {
+	if _, err := c.Get(context.Background(), liveKey, func() ([][]ingredient.ID, error) {
 		t.Error("live fingerprint was dropped: Get rebuilt")
 		return classicTxs(), nil
 	}); err != nil {
@@ -132,7 +133,7 @@ func TestInvalidateFingerprintStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				key := IndexKey("fp-hot", fmt.Sprintf("R%d", i%4), i%2 == 0)
-				if _, err := c.Get(key, source); err != nil {
+				if _, err := c.Get(context.Background(), key, source); err != nil {
 					t.Error(err)
 					return
 				}

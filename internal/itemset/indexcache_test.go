@@ -1,12 +1,15 @@
 package itemset
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
 )
 
@@ -28,11 +31,11 @@ func TestIndexCacheHitAndMiss(t *testing.T) {
 		atomic.AddInt32(&builds, 1)
 		return classicTxs(), nil
 	}
-	first, err := c.Get("k", source)
+	first, err := c.Get(context.Background(), "k", source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Get("k", source)
+	second, err := c.Get(context.Background(), "k", source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestIndexCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g], errs[g] = c.Get("k", source)
+			got[g], errs[g] = c.Get(context.Background(), "k", source)
 		}(g)
 	}
 	close(release)
@@ -92,11 +95,11 @@ func TestIndexCacheErrorNotCached(t *testing.T) {
 	c := NewIndexCache(1 << 20)
 	boom := errors.New("corpus unavailable")
 	calls := 0
-	if _, err := c.Get("k", func() ([][]ingredient.ID, error) { calls++; return nil, boom }); err != boom {
+	if _, err := c.Get(context.Background(), "k", func() ([][]ingredient.ID, error) { calls++; return nil, boom }); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	// The failure must not poison the key: the next Get rebuilds.
-	ix, err := c.Get("k", func() ([][]ingredient.ID, error) { calls++; return classicTxs(), nil })
+	ix, err := c.Get(context.Background(), "k", func() ([][]ingredient.ID, error) { calls++; return classicTxs(), nil })
 	if err != nil || ix == nil {
 		t.Fatalf("retry after error: ix=%v err=%v", ix, err)
 	}
@@ -129,11 +132,11 @@ func TestIndexCacheEviction(t *testing.T) {
 			return txs, nil
 		}
 	}
-	first, err := c.Get("a", sourceFor(0))
+	first, err := c.Get(context.Background(), "a", sourceFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("b", sourceFor(1)); err != nil {
+	if _, err := c.Get(context.Background(), "b", sourceFor(1)); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -150,7 +153,7 @@ func TestIndexCacheEviction(t *testing.T) {
 	}
 	// Re-Get of the evicted key is a miss that rebuilds.
 	builds := c.Stats().Builds
-	if _, err := c.Get("a", sourceFor(0)); err != nil {
+	if _, err := c.Get(context.Background(), "a", sourceFor(0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Builds; got != builds+1 {
@@ -167,26 +170,26 @@ func TestIndexCacheLRUOrder(t *testing.T) {
 	}
 	c := NewIndexCache(2*probe.Bytes() + probe.Bytes()/2) // room for two
 	source := func() ([][]ingredient.ID, error) { return classicTxs(), nil }
-	if _, err := c.Get("a", source); err != nil {
+	if _, err := c.Get(context.Background(), "a", source); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("b", source); err != nil {
+	if _, err := c.Get(context.Background(), "b", source); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("a", source); err != nil { // touch a: b is now LRU
+	if _, err := c.Get(context.Background(), "a", source); err != nil { // touch a: b is now LRU
 		t.Fatal(err)
 	}
-	if _, err := c.Get("c", source); err != nil { // evicts b
+	if _, err := c.Get(context.Background(), "c", source); err != nil { // evicts b
 		t.Fatal(err)
 	}
 	builds := c.Stats().Builds
-	if _, err := c.Get("a", source); err != nil { // must still be a hit
+	if _, err := c.Get(context.Background(), "a", source); err != nil { // must still be a hit
 		t.Fatal(err)
 	}
 	if got := c.Stats().Builds; got != builds {
 		t.Fatal("touched entry was evicted ahead of the LRU one")
 	}
-	if _, err := c.Get("b", source); err != nil { // must rebuild
+	if _, err := c.Get(context.Background(), "b", source); err != nil { // must rebuild
 		t.Fatal(err)
 	}
 	if got := c.Stats().Builds; got != builds+1 {
@@ -198,7 +201,7 @@ func TestIndexCacheLRUOrder(t *testing.T) {
 // returned to the caller but never retained.
 func TestIndexCacheOversized(t *testing.T) {
 	c := NewIndexCache(1) // nothing fits
-	ix, err := c.Get("k", func() ([][]ingredient.ID, error) { return classicTxs(), nil })
+	ix, err := c.Get(context.Background(), "k", func() ([][]ingredient.ID, error) { return classicTxs(), nil })
 	if err != nil || ix == nil {
 		t.Fatalf("oversized build failed: %v", err)
 	}
@@ -224,7 +227,7 @@ func TestIndexCacheConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%4)
-				ix, err := c.Get(key, func() ([][]ingredient.ID, error) { return classicTxs(), nil })
+				ix, err := c.Get(context.Background(), key, func() ([][]ingredient.ID, error) { return classicTxs(), nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -239,5 +242,99 @@ func TestIndexCacheConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Bytes > 2*probe.Bytes() {
 		t.Fatalf("retained bytes %d exceed budget", st.Bytes)
+	}
+}
+
+// getWithin runs one Get on its own goroutine and fails the test if it
+// has not returned within 2 s, so a poisoned key fails instead of
+// hanging the suite. A panic escaping Get is reported, not fatal.
+func getWithin(t *testing.T, ctx context.Context, c *IndexCache, key string, source func() ([][]ingredient.ID, error)) (*Index, error) {
+	t.Helper()
+	type result struct {
+		ix  *Index
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				got <- result{err: fmt.Errorf("Get panicked: %v", r)}
+			}
+		}()
+		ix, err := c.Get(ctx, key, source)
+		got <- result{ix, err}
+	}()
+	select {
+	case r := <-got:
+		return r.ix, r.err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Get(%q) still blocked after 2s", key)
+		return nil, nil
+	}
+}
+
+// TestIndexCachePanickingSourceFreesKey: a source that panics fails its
+// Get with a *flight.PanicError and leaves the key buildable — the next
+// Get returns and builds instead of waiting on a call that never ends.
+func TestIndexCachePanickingSourceFreesKey(t *testing.T) {
+	c := NewIndexCache(1 << 20)
+	_, err := getWithin(t, context.Background(), c, "k", func() ([][]ingredient.ID, error) {
+		panic("source exploded")
+	})
+	var pe *flight.PanicError
+	if !errors.As(err, &pe) || pe.Value != "source exploded" {
+		t.Fatalf("panicking source: err = %v, want *flight.PanicError", err)
+	}
+	ix, err := getWithin(t, context.Background(), c, "k", func() ([][]ingredient.ID, error) { return classicTxs(), nil })
+	if err != nil || ix == nil || ix.N() == 0 {
+		t.Fatalf("Get after a panicked build: ix=%v err=%v", ix, err)
+	}
+	if st := c.Stats(); st.Builds != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want builds=2 entries=1", st)
+	}
+}
+
+// TestIndexCacheWaiterHonorsContext: a waiter whose ctx is cancelled
+// while the build it joined is blocked returns ctx.Err() at once; the
+// build itself carries on for the caller still waiting.
+func TestIndexCacheWaiterHonorsContext(t *testing.T) {
+	c := NewIndexCache(1 << 20)
+	release := make(chan struct{})
+	source := func() ([][]ingredient.ID, error) {
+		<-release
+		return classicTxs(), nil
+	}
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Get(context.Background(), "k", source)
+		leader <- err
+	}()
+	for c.Stats().Builds == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "k", source)
+		waiter <- err
+	}()
+	for c.Stats().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled waiter still blocked on the build after 2s")
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if st := c.Stats(); st.Builds != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want builds=1 entries=1", st)
 	}
 }

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -239,7 +240,7 @@ func TestIndexCachePutAndInvalidateFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Put(IndexKey(fp, "", false), other)
-	got, err := cache.Get(IndexKey(fp, "", false), func() ([][]ingredient.ID, error) {
+	got, err := cache.Get(context.Background(), IndexKey(fp, "", false), func() ([][]ingredient.ID, error) {
 		t.Fatal("Get rebuilt an index Put should have cached")
 		return nil, nil
 	})

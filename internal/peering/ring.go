@@ -1,7 +1,7 @@
 // Package peering is the multi-node serving substrate: a consistent-hash
 // ring that partitions the content-addressed result-cache keyspace across
 // peer nodes, an HTTP forwarding client that lets a non-owner proxy a
-// request to the key's owner (cross-node singleflight: N nodes asking for
+// request to the key's owner (cross-node coalescing: N nodes asking for
 // one key cost one computation, on one node), and a crash-safe snapshot
 // format that persists a node's result cache to disk so a restarted node
 // comes up warm (DESIGN.md §15).

@@ -12,8 +12,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+
+	"cuisinevol/internal/flight"
 )
 
 // ItemHook intercepts scheduled items before they run. A nil return lets
@@ -25,14 +28,15 @@ import (
 // concurrent invocation on distinct indices.
 type ItemHook func(i int) error
 
-// ItemError is how a hook-injected failure surfaces from Run/Collect:
-// it wraps the hook's error with the index of the item it killed, so
+// ItemError is how a hook-injected failure or a panicking item surfaces
+// from Run/Collect: it wraps the hook's error, or the recovered panic
+// as a *flight.PanicError, with the index of the item it killed, so
 // callers that know what an index means (a replicate, a cuisine) can
 // re-wrap it in their own typed error with errors.As.
 type ItemError struct {
-	// Item is the scheduled item index the hook failed.
+	// Item is the scheduled item index that failed.
 	Item int
-	// Err is the hook's error.
+	// Err is the hook's error or the *flight.PanicError.
 	Err error
 }
 
@@ -62,9 +66,10 @@ func itemHook(ctx context.Context) ItemHook {
 
 // Run executes fn(0), …, fn(n-1) under at most workers goroutines
 // (workers <= 0 means GOMAXPROCS). Every item runs exactly once even
-// when some fail; the returned error is the lowest-indexed item's error,
-// so failure reporting is deterministic regardless of schedule. fn must
-// be safe for concurrent invocation on distinct indices.
+// when some fail or panic; the returned error is the lowest-indexed
+// item's error, so failure reporting is deterministic regardless of
+// schedule. fn must be safe for concurrent invocation on distinct
+// indices.
 func Run(workers, n int, fn func(i int) error) error {
 	return RunCtx(context.Background(), workers, n, fn)
 }
@@ -86,22 +91,14 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if hook := itemHook(ctx); hook != nil {
-		inner := fn
-		fn = func(i int) error {
-			if err := hook(i); err != nil {
-				return &ItemError{Item: i, Err: err}
-			}
-			return inner(i)
-		}
-	}
+	hook := itemHook(ctx)
 	if workers == 1 {
 		var first error
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil && first == nil {
+			if err := runItem(hook, fn, i); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -128,7 +125,7 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = runItem(hook, fn, i)
 			}
 		}()
 	}
@@ -142,6 +139,22 @@ func RunCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// runItem runs one item behind its hook, recovering a panic in either
+// into an *ItemError so it fails the grid instead of the process.
+func runItem(hook ItemHook, fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &ItemError{Item: i, Err: &flight.PanicError{Value: r, Stack: debug.Stack()}}
+		}
+	}()
+	if hook != nil {
+		if err := hook(i); err != nil {
+			return &ItemError{Item: i, Err: err}
+		}
+	}
+	return fn(i)
 }
 
 // Collect runs fn for every index under the worker budget and returns

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cuisinevol/internal/flight"
 )
 
 func TestRunCoversEveryIndexOnce(t *testing.T) {
@@ -76,9 +79,16 @@ func TestRunCtxStopsSchedulingAfterCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 1000
 		var ran atomic.Int32
+		// Counting and cancelling is one critical section: without it the
+		// 5th item's worker can be preempted between its count and
+		// cancel(), and the other workers keep running items in that gap
+		// although RunCtx has not yet seen any cancellation.
+		var mu sync.Mutex
 		err := RunCtx(ctx, workers, n, func(i int) error {
 			// Cancel early: items already picked up may still finish, but
 			// no new items may start afterwards.
+			mu.Lock()
+			defer mu.Unlock()
 			if ran.Add(1) == 5 {
 				cancel()
 			}
@@ -153,5 +163,65 @@ func TestCollectOrdersResults(t *testing.T) {
 		return i, nil
 	}); err == nil {
 		t.Fatal("error swallowed")
+	}
+}
+
+// TestRunRecoversItemPanics: a panicking item fails the grid with a
+// typed *ItemError carrying a *flight.PanicError, lowest index first,
+// instead of killing the process — on the serial path and on the
+// worker goroutines alike.
+func TestRunRecoversItemPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 40
+		var ran atomic.Int32
+		err := Run(workers, n, func(i int) error {
+			ran.Add(1)
+			if i%10 == 7 { // panics at 7, 17, 27, 37
+				panic(fmt.Sprintf("item %d exploded", i))
+			}
+			return nil
+		})
+		assertPanicItem(t, workers, err, 7, "item 7 exploded")
+		if got := ran.Load(); got != n {
+			t.Fatalf("workers=%d: %d of %d items ran", workers, got, n)
+		}
+	}
+}
+
+// TestRunRecoversHookPanics: a panic in an ItemHook surfaces exactly
+// like a panicking item.
+func TestRunRecoversHookPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 40
+		var ran atomic.Int32
+		ctx := WithItemHook(context.Background(), func(i int) error {
+			if i == 12 || i == 30 {
+				panic(fmt.Sprintf("hook %d exploded", i))
+			}
+			return nil
+		})
+		err := RunCtx(ctx, workers, n, func(i int) error {
+			ran.Add(1)
+			return nil
+		})
+		assertPanicItem(t, workers, err, 12, "hook 12 exploded")
+		if got := ran.Load(); got != n-2 {
+			t.Fatalf("workers=%d: %d items ran, want %d (all but the two hooked)", workers, got, n-2)
+		}
+	}
+}
+
+func assertPanicItem(t *testing.T, workers int, err error, item int, value string) {
+	t.Helper()
+	var ie *ItemError
+	if !errors.As(err, &ie) || ie.Item != item {
+		t.Fatalf("workers=%d: want *ItemError for item %d, got %v", workers, item, err)
+	}
+	var pe *flight.PanicError
+	if !errors.As(err, &pe) || pe.Value != value || len(pe.Stack) == 0 {
+		t.Fatalf("workers=%d: want *flight.PanicError(%q) with a stack, got %#v", workers, value, ie.Err)
+	}
+	if pe.Error() != value {
+		t.Fatalf("workers=%d: PanicError.Error() = %q, want the bare value", workers, pe.Error())
 	}
 }

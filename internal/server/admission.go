@@ -21,7 +21,7 @@ import (
 //     an ever-growing goroutine pile.
 //
 // Acquisition is deadline-aware: a queued acquirer whose context dies
-// (request deadline, client disconnect, or the singleflight group
+// (request deadline, client disconnect, or the flight group
 // cancelling an abandoned computation) leaves the queue immediately.
 // Shed and queue-exit outcomes are all counted on the shared metrics
 // registry, so /metrics tells the whole overload story.

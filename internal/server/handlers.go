@@ -333,7 +333,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	}
 	canon := canonicalParams("categories", categories, "region", region, "support", support, "top", top)
 	s.serveComputed(w, r, sel.fingerprint, "/v1/mine", canon, func(ctx context.Context) (any, error) {
-		ix, err := s.viewIndex(sel, region, categories)
+		ix, err := s.viewIndex(ctx, sel, region, categories)
 		if err != nil {
 			return nil, err
 		}
@@ -385,11 +385,11 @@ func (s *Server) handleOverrep(w http.ResponseWriter, r *http.Request) {
 		// Both document-frequency tables come off shared indexes: the
 		// whole-corpus one carries Eq 1's global counts, the region one
 		// its numerator — no per-request corpus rescan.
-		allIx, err := s.viewIndex(sel, "", false)
+		allIx, err := s.viewIndex(ctx, sel, "", false)
 		if err != nil {
 			return nil, err
 		}
-		regionIx, err := s.viewIndex(sel, region, false)
+		regionIx, err := s.viewIndex(ctx, sel, region, false)
 		if err != nil {
 			return nil, err
 		}
@@ -431,7 +431,7 @@ func (s *Server) handleEvolve(w http.ResponseWriter, r *http.Request) {
 	canon := canonicalParams("model", kind.String(), "region", region, "replicates", replicates, "support", support)
 	s.serveComputed(w, r, sel.fingerprint, "/v1/evolve", canon, func(ctx context.Context) (any, error) {
 		view := sel.corpus.Region(region)
-		ix, err := s.viewIndex(sel, region, false)
+		ix, err := s.viewIndex(ctx, sel, region, false)
 		if err != nil {
 			return nil, err
 		}

@@ -130,7 +130,7 @@ type appendResponse struct {
 // first query against the new version is already warm.
 func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 	ref := strings.TrimSpace(r.PathValue("id"))
-	parent, info, err := s.registry.Resolve(ref)
+	parent, info, err := s.registry.ResolveCtx(r.Context(), ref)
 	if err != nil {
 		s.writeError(w, corpusError(err))
 		return

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -37,7 +38,7 @@ type appendRespBody struct {
 // if the entry is absent (the build callback must never fire).
 func cachedIndex(t *testing.T, srv *Server, key string) *itemset.Index {
 	t.Helper()
-	ix, err := srv.indexes.Get(key, func() ([][]ingredient.ID, error) {
+	ix, err := srv.indexes.Get(context.Background(), key, func() ([][]ingredient.ID, error) {
 		t.Fatalf("index %s was not pre-cached: build callback invoked", key)
 		return nil, nil
 	})

@@ -168,7 +168,7 @@ func TestShedExactlyBeyondQueueCap(t *testing.T) {
 // a structured 504 with Retry-After — no request outlives its budget by
 // more than scheduling slack, the timeout counter matches the observed
 // 504s, and the stuck computations release their slots (the Block hook
-// observes the cancellation the singleflight group propagates).
+// observes the cancellation the flight group propagates).
 func TestDeadlineBudgetEnforced(t *testing.T) {
 	corpus := testCorpus(t)
 	const C, Q, N = 1, 8, 4

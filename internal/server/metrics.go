@@ -113,6 +113,10 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	appendf := func(format string, args ...any) {
 		b = append(b, fmt.Sprintf(format, args...)...)
 	}
+	// scalar emits one unlabeled counter or gauge family.
+	scalar := func(name, typ, help string, v any) {
+		appendf("# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
+	}
 
 	appendf("# HELP cuisinevol_http_requests_total Completed HTTP requests by endpoint and status code.\n")
 	appendf("# TYPE cuisinevol_http_requests_total counter\n")
@@ -149,150 +153,60 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	m.mu.Unlock()
 
 	hits, misses, evictions, used, entries := cache.Stats()
-	appendf("# HELP cuisinevol_cache_hits_total Result-cache hits.\n")
-	appendf("# TYPE cuisinevol_cache_hits_total counter\n")
-	appendf("cuisinevol_cache_hits_total %d\n", hits)
-	appendf("# HELP cuisinevol_cache_misses_total Result-cache misses.\n")
-	appendf("# TYPE cuisinevol_cache_misses_total counter\n")
-	appendf("cuisinevol_cache_misses_total %d\n", misses)
-	appendf("# HELP cuisinevol_cache_evictions_total Entries evicted to fit the byte budget.\n")
-	appendf("# TYPE cuisinevol_cache_evictions_total counter\n")
-	appendf("cuisinevol_cache_evictions_total %d\n", evictions)
-	appendf("# HELP cuisinevol_cache_bytes Bytes of response bodies currently cached.\n")
-	appendf("# TYPE cuisinevol_cache_bytes gauge\n")
-	appendf("cuisinevol_cache_bytes %d\n", used)
-	appendf("# HELP cuisinevol_cache_entries Entries currently cached.\n")
-	appendf("# TYPE cuisinevol_cache_entries gauge\n")
-	appendf("cuisinevol_cache_entries %d\n", entries)
+	scalar("cuisinevol_cache_hits_total", "counter", "Result-cache hits.", hits)
+	scalar("cuisinevol_cache_misses_total", "counter", "Result-cache misses.", misses)
+	scalar("cuisinevol_cache_evictions_total", "counter", "Entries evicted to fit the byte budget.", evictions)
+	scalar("cuisinevol_cache_bytes", "gauge", "Bytes of response bodies currently cached.", used)
+	scalar("cuisinevol_cache_entries", "gauge", "Entries currently cached.", entries)
 
 	ist := indexes.Stats()
-	appendf("# HELP cuisinevol_index_builds_total Corpus-index builds executed (singleflight-deduplicated).\n")
-	appendf("# TYPE cuisinevol_index_builds_total counter\n")
-	appendf("cuisinevol_index_builds_total %d\n", ist.Builds)
-	appendf("# HELP cuisinevol_index_hits_total Index-cache lookups served from a cached index.\n")
-	appendf("# TYPE cuisinevol_index_hits_total counter\n")
-	appendf("cuisinevol_index_hits_total %d\n", ist.Hits)
-	appendf("# HELP cuisinevol_index_misses_total Index-cache lookups that had to build or join an in-flight build.\n")
-	appendf("# TYPE cuisinevol_index_misses_total counter\n")
-	appendf("cuisinevol_index_misses_total %d\n", ist.Misses)
-	appendf("# HELP cuisinevol_index_evictions_total Indexes evicted to fit the byte budget.\n")
-	appendf("# TYPE cuisinevol_index_evictions_total counter\n")
-	appendf("cuisinevol_index_evictions_total %d\n", ist.Evictions)
-	appendf("# HELP cuisinevol_index_invalidations_total Index entries dropped by fingerprint invalidation (corpus deletes).\n")
-	appendf("# TYPE cuisinevol_index_invalidations_total counter\n")
-	appendf("cuisinevol_index_invalidations_total %d\n", ist.Invalidations)
-	appendf("# HELP cuisinevol_index_bytes Bytes of prebuilt corpus indexes currently retained.\n")
-	appendf("# TYPE cuisinevol_index_bytes gauge\n")
-	appendf("cuisinevol_index_bytes %d\n", ist.Bytes)
-	appendf("# HELP cuisinevol_index_entries Corpus indexes currently cached.\n")
-	appendf("# TYPE cuisinevol_index_entries gauge\n")
-	appendf("cuisinevol_index_entries %d\n", ist.Entries)
-	appendf("# HELP cuisinevol_index_container_array_total Items laid out as sorted-array posting containers, across all indexes cached.\n")
-	appendf("# TYPE cuisinevol_index_container_array_total counter\n")
-	appendf("cuisinevol_index_container_array_total %d\n", ist.ContainerArrays)
-	appendf("# HELP cuisinevol_index_container_bitset_total Items laid out as dense-bitset posting containers, across all indexes cached.\n")
-	appendf("# TYPE cuisinevol_index_container_bitset_total counter\n")
-	appendf("cuisinevol_index_container_bitset_total %d\n", ist.ContainerBitsets)
-	appendf("# HELP cuisinevol_index_container_run_total Items laid out as run-length posting containers, across all indexes cached.\n")
-	appendf("# TYPE cuisinevol_index_container_run_total counter\n")
-	appendf("cuisinevol_index_container_run_total %d\n", ist.ContainerRuns)
-	appendf("# HELP cuisinevol_index_bytes_saved_total Posting bytes the adaptive container layout saved over a uniform dense one, across all indexes cached.\n")
-	appendf("# TYPE cuisinevol_index_bytes_saved_total counter\n")
-	appendf("cuisinevol_index_bytes_saved_total %d\n", ist.BytesSaved)
+	scalar("cuisinevol_index_builds_total", "counter", "Corpus-index builds executed (coalesced per key).", ist.Builds)
+	scalar("cuisinevol_index_hits_total", "counter", "Index-cache lookups served from a cached index.", ist.Hits)
+	scalar("cuisinevol_index_misses_total", "counter", "Index-cache lookups that had to build or join an in-flight build.", ist.Misses)
+	scalar("cuisinevol_index_evictions_total", "counter", "Indexes evicted to fit the byte budget.", ist.Evictions)
+	scalar("cuisinevol_index_invalidations_total", "counter", "Index entries dropped by fingerprint invalidation (corpus deletes).", ist.Invalidations)
+	scalar("cuisinevol_index_bytes", "gauge", "Bytes of prebuilt corpus indexes currently retained.", ist.Bytes)
+	scalar("cuisinevol_index_entries", "gauge", "Corpus indexes currently cached.", ist.Entries)
+	scalar("cuisinevol_index_container_array_total", "counter", "Items laid out as sorted-array posting containers, across all indexes cached.", ist.ContainerArrays)
+	scalar("cuisinevol_index_container_bitset_total", "counter", "Items laid out as dense-bitset posting containers, across all indexes cached.", ist.ContainerBitsets)
+	scalar("cuisinevol_index_container_run_total", "counter", "Items laid out as run-length posting containers, across all indexes cached.", ist.ContainerRuns)
+	scalar("cuisinevol_index_bytes_saved_total", "counter", "Posting bytes the adaptive container layout saved over a uniform dense one, across all indexes cached.", ist.BytesSaved)
 
 	rst := registry.Stats()
-	appendf("# HELP cuisinevol_corpus_loads_total Corpus loads from the backing store (singleflight-deduplicated).\n")
-	appendf("# TYPE cuisinevol_corpus_loads_total counter\n")
-	appendf("cuisinevol_corpus_loads_total %d\n", rst.Loads)
-	appendf("# HELP cuisinevol_corpus_load_hits_total Corpus resolutions served from a memoized corpus.\n")
-	appendf("# TYPE cuisinevol_corpus_load_hits_total counter\n")
-	appendf("cuisinevol_corpus_load_hits_total %d\n", rst.LoadHits)
-	appendf("# HELP cuisinevol_corpus_load_misses_total Corpus resolutions that had to load (or join an in-flight load).\n")
-	appendf("# TYPE cuisinevol_corpus_load_misses_total counter\n")
-	appendf("cuisinevol_corpus_load_misses_total %d\n", rst.LoadMisses)
-	appendf("# HELP cuisinevol_corpus_puts_total Corpora registered (distinct content).\n")
-	appendf("# TYPE cuisinevol_corpus_puts_total counter\n")
-	appendf("cuisinevol_corpus_puts_total %d\n", rst.Puts)
-	appendf("# HELP cuisinevol_corpus_deletes_total Corpora deleted from the registry.\n")
-	appendf("# TYPE cuisinevol_corpus_deletes_total counter\n")
-	appendf("cuisinevol_corpus_deletes_total %d\n", rst.Deletes)
-	appendf("# HELP cuisinevol_corpus_loaded_bytes Serialized bytes of corpora currently memoized in memory.\n")
-	appendf("# TYPE cuisinevol_corpus_loaded_bytes gauge\n")
-	appendf("cuisinevol_corpus_loaded_bytes %d\n", rst.LoadedBytes)
-	appendf("# HELP cuisinevol_corpus_loaded_entries Corpora currently memoized in memory.\n")
-	appendf("# TYPE cuisinevol_corpus_loaded_entries gauge\n")
-	appendf("cuisinevol_corpus_loaded_entries %d\n", rst.LoadedEntries)
-	appendf("# HELP cuisinevol_corpus_store_bytes Payload bytes in the backing corpus store.\n")
-	appendf("# TYPE cuisinevol_corpus_store_bytes gauge\n")
-	appendf("cuisinevol_corpus_store_bytes %d\n", rst.StoreBytes)
-	appendf("# HELP cuisinevol_corpus_store_entries Corpora in the backing store.\n")
-	appendf("# TYPE cuisinevol_corpus_store_entries gauge\n")
-	appendf("cuisinevol_corpus_store_entries %d\n", rst.StoreEntries)
+	scalar("cuisinevol_corpus_loads_total", "counter", "Corpus loads from the backing store (coalesced per corpus).", rst.Loads)
+	scalar("cuisinevol_corpus_load_hits_total", "counter", "Corpus resolutions served from a memoized corpus.", rst.LoadHits)
+	scalar("cuisinevol_corpus_load_misses_total", "counter", "Corpus resolutions that had to load (or join an in-flight load).", rst.LoadMisses)
+	scalar("cuisinevol_corpus_puts_total", "counter", "Corpora registered (distinct content).", rst.Puts)
+	scalar("cuisinevol_corpus_deletes_total", "counter", "Corpora deleted from the registry.", rst.Deletes)
+	scalar("cuisinevol_corpus_loaded_bytes", "gauge", "Serialized bytes of corpora currently memoized in memory.", rst.LoadedBytes)
+	scalar("cuisinevol_corpus_loaded_entries", "gauge", "Corpora currently memoized in memory.", rst.LoadedEntries)
+	scalar("cuisinevol_corpus_store_bytes", "gauge", "Payload bytes in the backing corpus store.", rst.StoreBytes)
+	scalar("cuisinevol_corpus_store_entries", "gauge", "Corpora in the backing store.", rst.StoreEntries)
 
 	liveHeads, liveEpochs := live.snapshotStats()
-	appendf("# HELP cuisinevol_live_appends_total Corpus appends served through an incremental live-index head.\n")
-	appendf("# TYPE cuisinevol_live_appends_total counter\n")
-	appendf("cuisinevol_live_appends_total %d\n", m.liveAppends.Load())
-	appendf("# HELP cuisinevol_live_appended_tx_total Transactions appended incrementally (delta sizes, O(delta) each).\n")
-	appendf("# TYPE cuisinevol_live_appended_tx_total counter\n")
-	appendf("cuisinevol_live_appended_tx_total %d\n", m.liveAppendedTx.Load())
-	appendf("# HELP cuisinevol_live_seeds_total Live heads seeded by a full corpus build (cold lineage, restart, or head eviction).\n")
-	appendf("# TYPE cuisinevol_live_seeds_total counter\n")
-	appendf("cuisinevol_live_seeds_total %d\n", m.liveSeeds.Load())
-	appendf("# HELP cuisinevol_live_snapshots_total Epoch snapshots materialized into the index cache by appends.\n")
-	appendf("# TYPE cuisinevol_live_snapshots_total counter\n")
-	appendf("cuisinevol_live_snapshots_total %d\n", m.liveSnapshots.Load())
-	appendf("# HELP cuisinevol_live_heads Live-index write heads currently retained.\n")
-	appendf("# TYPE cuisinevol_live_heads gauge\n")
-	appendf("cuisinevol_live_heads %d\n", liveHeads)
-	appendf("# HELP cuisinevol_live_epochs Summed mutation epochs across retained live heads.\n")
-	appendf("# TYPE cuisinevol_live_epochs gauge\n")
-	appendf("cuisinevol_live_epochs %d\n", liveEpochs)
+	scalar("cuisinevol_live_appends_total", "counter", "Corpus appends served through an incremental live-index head.", m.liveAppends.Load())
+	scalar("cuisinevol_live_appended_tx_total", "counter", "Transactions appended incrementally (delta sizes, O(delta) each).", m.liveAppendedTx.Load())
+	scalar("cuisinevol_live_seeds_total", "counter", "Live heads seeded by a full corpus build (cold lineage, restart, or head eviction).", m.liveSeeds.Load())
+	scalar("cuisinevol_live_snapshots_total", "counter", "Epoch snapshots materialized into the index cache by appends.", m.liveSnapshots.Load())
+	scalar("cuisinevol_live_heads", "gauge", "Live-index write heads currently retained.", liveHeads)
+	scalar("cuisinevol_live_epochs", "gauge", "Summed mutation epochs across retained live heads.", liveEpochs)
 
-	appendf("# HELP cuisinevol_coalesced_requests_total Requests served by joining an identical in-flight computation.\n")
-	appendf("# TYPE cuisinevol_coalesced_requests_total counter\n")
-	appendf("cuisinevol_coalesced_requests_total %d\n", m.coalesced.Load())
-	appendf("# HELP cuisinevol_computations_total Underlying pipeline computations executed.\n")
-	appendf("# TYPE cuisinevol_computations_total counter\n")
-	appendf("cuisinevol_computations_total %d\n", m.computations.Load())
-	appendf("# HELP cuisinevol_compute_inflight Computations currently holding a compute slot.\n")
-	appendf("# TYPE cuisinevol_compute_inflight gauge\n")
-	appendf("cuisinevol_compute_inflight %d\n", m.inflight.Load())
-	appendf("# HELP cuisinevol_compute_waiting Computations queued for a compute slot.\n")
-	appendf("# TYPE cuisinevol_compute_waiting gauge\n")
-	appendf("cuisinevol_compute_waiting %d\n", m.waiting.Load())
+	scalar("cuisinevol_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight computation.", m.coalesced.Load())
+	scalar("cuisinevol_computations_total", "counter", "Underlying pipeline computations executed.", m.computations.Load())
+	scalar("cuisinevol_compute_inflight", "gauge", "Computations currently holding a compute slot.", m.inflight.Load())
+	scalar("cuisinevol_compute_waiting", "gauge", "Computations queued for a compute slot.", m.waiting.Load())
 
-	appendf("# HELP cuisinevol_peer_proxied_total Requests relayed to the node owning their cache key.\n")
-	appendf("# TYPE cuisinevol_peer_proxied_total counter\n")
-	appendf("cuisinevol_peer_proxied_total %d\n", m.peerProxied.Load())
-	appendf("# HELP cuisinevol_peer_fallback_total Owner-unreachable requests served by bounded local compute.\n")
-	appendf("# TYPE cuisinevol_peer_fallback_total counter\n")
-	appendf("cuisinevol_peer_fallback_total %d\n", m.peerFallback.Load())
-	appendf("# HELP cuisinevol_peer_fallback_shed_total Owner-unreachable requests shed because the fallback budget was exhausted.\n")
-	appendf("# TYPE cuisinevol_peer_fallback_shed_total counter\n")
-	appendf("cuisinevol_peer_fallback_shed_total %d\n", m.peerFallbackShed.Load())
-	appendf("# HELP cuisinevol_peer_ring_moves_total Keyspace arcs reassigned by peer membership updates.\n")
-	appendf("# TYPE cuisinevol_peer_ring_moves_total counter\n")
-	appendf("cuisinevol_peer_ring_moves_total %d\n", m.peerRingMoves.Load())
-	appendf("# HELP cuisinevol_peer_snapshot_saves_total Result-cache snapshots written to disk.\n")
-	appendf("# TYPE cuisinevol_peer_snapshot_saves_total counter\n")
-	appendf("cuisinevol_peer_snapshot_saves_total %d\n", m.peerSnapshotSaves.Load())
-	appendf("# HELP cuisinevol_peer_snapshot_loads_total Result-cache snapshots restored at startup.\n")
-	appendf("# TYPE cuisinevol_peer_snapshot_loads_total counter\n")
-	appendf("cuisinevol_peer_snapshot_loads_total %d\n", m.peerSnapshotLoads.Load())
-	appendf("# HELP cuisinevol_peer_snapshot_load_errors_total Snapshot loads rejected by verification (file quarantined, node started cold).\n")
-	appendf("# TYPE cuisinevol_peer_snapshot_load_errors_total counter\n")
-	appendf("cuisinevol_peer_snapshot_load_errors_total %d\n", m.peerSnapshotLoadErrors.Load())
-	appendf("# HELP cuisinevol_peer_snapshot_entries_total Cache entries restored from snapshots.\n")
-	appendf("# TYPE cuisinevol_peer_snapshot_entries_total counter\n")
-	appendf("cuisinevol_peer_snapshot_entries_total %d\n", m.peerSnapshotEntries.Load())
+	scalar("cuisinevol_peer_proxied_total", "counter", "Requests relayed to the node owning their cache key.", m.peerProxied.Load())
+	scalar("cuisinevol_peer_fallback_total", "counter", "Owner-unreachable requests served by bounded local compute.", m.peerFallback.Load())
+	scalar("cuisinevol_peer_fallback_shed_total", "counter", "Owner-unreachable requests shed because the fallback budget was exhausted.", m.peerFallbackShed.Load())
+	scalar("cuisinevol_peer_ring_moves_total", "counter", "Keyspace arcs reassigned by peer membership updates.", m.peerRingMoves.Load())
+	scalar("cuisinevol_peer_snapshot_saves_total", "counter", "Result-cache snapshots written to disk.", m.peerSnapshotSaves.Load())
+	scalar("cuisinevol_peer_snapshot_loads_total", "counter", "Result-cache snapshots restored at startup.", m.peerSnapshotLoads.Load())
+	scalar("cuisinevol_peer_snapshot_load_errors_total", "counter", "Snapshot loads rejected by verification (file quarantined, node started cold).", m.peerSnapshotLoadErrors.Load())
+	scalar("cuisinevol_peer_snapshot_entries_total", "counter", "Cache entries restored from snapshots.", m.peerSnapshotEntries.Load())
 
-	appendf("# HELP cuisinevol_shed_total Computations rejected at admission because the wait queue was full.\n")
-	appendf("# TYPE cuisinevol_shed_total counter\n")
-	appendf("cuisinevol_shed_total %d\n", m.shedComputations.Load())
-	appendf("# HELP cuisinevol_deadline_timeouts_total Requests that exceeded their deadline budget (504).\n")
-	appendf("# TYPE cuisinevol_deadline_timeouts_total counter\n")
-	appendf("cuisinevol_deadline_timeouts_total %d\n", m.deadlineTimeouts.Load())
+	scalar("cuisinevol_shed_total", "counter", "Computations rejected at admission because the wait queue was full.", m.shedComputations.Load())
+	scalar("cuisinevol_deadline_timeouts_total", "counter", "Requests that exceeded their deadline budget (504).", m.deadlineTimeouts.Load())
 	appendf("# HELP cuisinevol_chaos_injected_total Faults injected by the chaos layer, by kind.\n")
 	appendf("# TYPE cuisinevol_chaos_injected_total counter\n")
 	for f := FaultError; f <= FaultItem; f++ {

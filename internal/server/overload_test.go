@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"cuisinevol/internal/evomodel"
+	"cuisinevol/internal/experiment"
 	"cuisinevol/internal/sched"
 )
 
@@ -278,6 +280,181 @@ func TestItemFaultSurfacesTypedErrors(t *testing.T) {
 	}
 	if repErr.Replicate != chaosErr.Item {
 		t.Fatalf("replicate index %d != faulted item %d", repErr.Replicate, chaosErr.Item)
+	}
+}
+
+// waitInFlight blocks until n goroutines are parked in a flight.Group
+// wait — joined to a call, not merely on their way to one — so a test
+// fires its next event knowing every request has coalesced.
+func waitInFlight(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 4<<20)
+	for i := 0; i < 5000; i++ {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "internal/flight.(*Group[...]).Do(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("fewer than %d requests ever waited in the flight group", n)
+}
+
+// TestPanicFailsOnlyItsWaiters is the server's panic invariant: a
+// computation that panics fails exactly the requests coalesced onto it
+// with a 500 naming the panic, frees its key, and leaves the process
+// serving — the next request for the key recomputes and gets the same
+// bytes an unfaulted server returns.
+func TestPanicFailsOnlyItsWaiters(t *testing.T) {
+	const path = "/v1/fig3?support=0.05"
+	const n = 8
+	var calls atomic.Int32
+	release := make(chan struct{})
+	srv, err := New(Options{
+		Seed:       42,
+		Replicates: 2,
+		Compute:    2,
+		Timeout:    -1,
+		Corpus:     testCorpus(t),
+		Chaos: &ChaosConfig{
+			Seed:        7,
+			LatencyRate: 1,
+			Block: func(ctx context.Context, key string) error {
+				if calls.Add(1) == 1 {
+					<-release
+					panic("chaos block exploded")
+				}
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	recs := make(chan *httptest.ResponseRecorder, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			recs <- rec
+		}()
+	}
+	waitInFlight(t, n)
+	close(release)
+	for i := 0; i < n; i++ {
+		rec := <-recs
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "chaos block exploded") {
+			t.Fatalf("coalesced request %d: status %d body %s (want 500 naming the panic)", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := srv.Computations(); got != 1 {
+		t.Fatalf("computations = %d after the panic, want 1", got)
+	}
+	spinUntil(t, "slot released after panic", func() bool { return srv.metrics.inflight.Load() == 0 })
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d body %s", rec.Code, rec.Body.String())
+	}
+	clean, err := New(Options{Seed: 42, Replicates: 2, Compute: 2, Corpus: testCorpus(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := httptest.NewRecorder()
+	clean.Handler().ServeHTTP(want, httptest.NewRequest(http.MethodGet, path, nil))
+	if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatal("body after the panic differs from an unfaulted server's")
+	}
+}
+
+// TestItemHookPanicIs500: a scheduler ItemHook that panics inside the
+// /v1/fig4 replicate grid fails the request with a 500 naming the panic
+// and its replicate, instead of killing the process.
+func TestItemHookPanicIs500(t *testing.T) {
+	srv, err := New(Options{Seed: 42, Replicates: 2, Compute: 2, Corpus: testCorpus(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := corpusSel{corpus: srv.corpus, fingerprint: srv.fingerprint, def: true}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/fig4?regions=ITA&replicates=2", nil)
+	srv.serveComputed(rec, req, sel.fingerprint, "/v1/fig4", "regions=ITA&replicates=2", func(ctx context.Context) (any, error) {
+		ctx = sched.WithItemHook(ctx, func(i int) error {
+			if i == 1 {
+				panic("replicate hook exploded")
+			}
+			return nil
+		})
+		return experiment.RunFig4Ctx(ctx, srv.config(sel, 2), experiment.Fig4Options{Regions: []string{"ITA"}})
+	})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d (want 500), body %s", rec.Code, rec.Body.String())
+	}
+	if msg := rec.Body.String(); !strings.Contains(msg, "replicate 1") || !strings.Contains(msg, "replicate hook exploded") {
+		t.Fatalf("500 body does not name the replicate and the panic: %s", msg)
+	}
+}
+
+// TestCoalescedWaiterCancelIs499: a request that joined a computation
+// still parked at the chaos gate, and whose client then leaves, returns
+// 499 at once; the computation carries on for the request that led it.
+func TestCoalescedWaiterCancelIs499(t *testing.T) {
+	release := make(chan struct{})
+	srv, err := New(Options{
+		Seed:       42,
+		Replicates: 2,
+		Compute:    2,
+		Timeout:    -1,
+		Corpus:     testCorpus(t),
+		Chaos: &ChaosConfig{
+			Seed:        7,
+			LatencyRate: 1,
+			Block: func(ctx context.Context, key string) error {
+				<-release
+				return nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "/v1/mine?region=ITA&top=4"
+	h := srv.Handler()
+	leader := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		leader <- rec.Code
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		waiter <- rec.Code
+	}()
+	waitInFlight(t, 2)
+	cancel()
+	select {
+	case code := <-waiter:
+		if code != 499 {
+			t.Fatalf("cancelled waiter: status %d, want 499", code)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled waiter still blocked on the computation after 2s")
+	}
+	close(release)
+	if code := <-leader; code != http.StatusOK {
+		t.Fatalf("leader: status %d, want 200", code)
+	}
+	if got := srv.Computations(); got != 1 {
+		t.Fatalf("computations = %d, want 1", got)
 	}
 }
 

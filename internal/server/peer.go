@@ -20,7 +20,7 @@ import (
 // The layer is nil on a single-node server: every key is locally owned
 // and serveComputed never consults it. With peers configured, a cache
 // miss for a remotely-owned key is proxied to the owner — whose own
-// cache, singleflight group and admission gate then apply, so N nodes
+// cache, flight group and admission gate then apply, so N nodes
 // asking for one key still cost exactly one computation cluster-wide —
 // and the 200 body fills the local cache on the way back (peer cache
 // fill: the next request for that key on this node is a local hit).

@@ -8,8 +8,9 @@
 //     endpoint, canonicalized params) with LRU byte-budget eviction —
 //     identical requests are served without recomputation and without
 //     any invalidation logic, because the key *is* the content;
-//   - singleflight coalescing — N concurrent identical requests cost
-//     one computation;
+//   - request coalescing (internal/flight) — N concurrent identical
+//     requests cost one computation, and a panic in it fails only its
+//     waiters;
 //   - a bounded-admission compute pool — at most Compute pipeline
 //     computations run at once, each fanning out through internal/sched
 //     under the Workers budget, while cache hits bypass the gate
@@ -29,7 +30,7 @@
 // (peer.go, internal/peering, DESIGN.md §15): the result-cache keyspace
 // is consistent-hash partitioned across the peer set, misses for
 // remotely-owned keys are proxied to their owner (cross-node
-// singleflight) and fill the local cache on the way back, and the
+// coalescing) and fill the local cache on the way back, and the
 // result cache snapshots to disk so a restarted node comes up warm.
 package server
 
@@ -46,6 +47,7 @@ import (
 
 	"cuisinevol/internal/corpusstore"
 	"cuisinevol/internal/experiment"
+	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
 	"cuisinevol/internal/peering"
@@ -131,7 +133,7 @@ type Server struct {
 	cache       *resultCache
 	indexes     *itemset.IndexCache
 	live        *liveSet
-	flight      *flightGroup
+	flight      flight.Group[[]byte]
 	admit       *admission
 	chaos       *chaos
 	peers       *peerLayer // nil when serving single-node
@@ -200,7 +202,6 @@ func New(opts Options) (*Server, error) {
 		cache:       newResultCache(opts.CacheBytes),
 		indexes:     itemset.NewIndexCache(opts.IndexBytes),
 		live:        newLiveSet(),
-		flight:      newFlightGroup(),
 		admit:       newAdmission(opts.Compute, opts.MaxQueue, shedRetryAfter, m),
 		chaos:       newChaos(opts.Chaos, m),
 		metrics:     m,
@@ -293,7 +294,7 @@ func (s *Server) selectCorpus(r *http.Request) (corpusSel, error) {
 	if ref == "" || ref == "default" {
 		return corpusSel{corpus: s.corpus, fingerprint: s.fingerprint, def: true}, nil
 	}
-	corpus, info, err := s.registry.Resolve(ref)
+	corpus, info, err := s.registry.ResolveCtx(r.Context(), ref)
 	switch {
 	case err == nil:
 		return corpusSel{corpus: corpus, fingerprint: info.ID}, nil
@@ -314,9 +315,9 @@ func (s *Server) selectCorpus(r *http.Request) (corpusSel, error) {
 // through here, so one build per (corpus, slice) serves all parameter
 // points — and the same keys the experiment harness uses mean a
 // /v1/mine request and a Table I run converge on the same entry.
-func (s *Server) viewIndex(sel corpusSel, region string, categories bool) (*itemset.Index, error) {
+func (s *Server) viewIndex(ctx context.Context, sel corpusSel, region string, categories bool) (*itemset.Index, error) {
 	key := itemset.IndexKey(sel.fingerprint, region, categories)
-	return s.indexes.Get(key, func() ([][]ingredient.ID, error) {
+	return s.indexes.Get(ctx, key, func() ([][]ingredient.ID, error) {
 		view := sel.corpus.Region(region)
 		if region == "" {
 			view = sel.corpus.AllView()
@@ -388,7 +389,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 }
 
 // serveComputed is the shared compute path: cache lookup, then
-// singleflight coalescing, then the semaphore-gated computation. canon
+// coalescing through s.flight, then the semaphore-gated computation. canon
 // must be the canonicalized parameter string — requests that differ
 // only in parameter spelling share a key — and fingerprint the selected
 // corpus's content fingerprint, which content-addresses the cache entry
@@ -414,7 +415,7 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerpri
 		return
 	}
 	// Multi-node tier: a miss for a key owned by a peer is proxied to its
-	// owner (whose cache, singleflight and admission then apply — the
+	// owner (whose cache, coalescing and admission then apply — the
 	// cluster-wide exactly-once path) rather than recomputed here. A
 	// request already forwarded by a peer is always served locally, so
 	// forwarding is one hop even if two nodes transiently disagree about
@@ -448,47 +449,38 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, fingerpri
 	if s.chaos != nil {
 		compute = s.chaos.wrapCompute(endpoint+"?"+canon, fault, compute)
 	}
-	for {
-		body, err, shared := s.flight.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
-			// Double-check the cache: a computation that completed between
-			// this request's cache miss and its flight leadership already
-			// cached the body, and must not be repeated. Peek keeps the
-			// hit/miss counters one-per-request.
-			if body, ok := s.cache.Peek(key); ok {
-				return body, nil
-			}
-			if err := s.admit.Acquire(cctx); err != nil {
-				return nil, err
-			}
-			defer s.admit.Release()
-			s.metrics.computations.Add(1)
-			v, err := compute(cctx)
-			if err != nil {
-				return nil, err
-			}
-			body, err := marshalDeterministic(v)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, body)
+	body, err, shared := s.flight.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
+		// Double-check the cache: a computation that completed between
+		// this request's cache miss and its flight leadership already
+		// cached the body, and must not be repeated. Peek keeps the
+		// hit/miss counters one-per-request.
+		if body, ok := s.cache.Peek(key); ok {
 			return body, nil
-		})
-		if shared {
-			s.metrics.coalesced.Add(1)
 		}
+		if err := s.admit.Acquire(cctx); err != nil {
+			return nil, err
+		}
+		defer s.admit.Release()
+		s.metrics.computations.Add(1)
+		v, err := compute(cctx)
 		if err != nil {
-			// Joining a computation whose waiters all left yields its
-			// context.Canceled; if *this* request is still live, retry —
-			// it becomes the new leader.
-			if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-				continue
-			}
-			s.writeError(w, s.classifyComputeErr(ctx, endpoint, err))
-			return
+			return nil, err
 		}
-		s.writeBody(w, body, etag, "MISS")
+		body, err := marshalDeterministic(v)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.Put(key, body)
+		return body, nil
+	})
+	if shared {
+		s.metrics.coalesced.Add(1)
+	}
+	if err != nil {
+		s.writeError(w, s.classifyComputeErr(ctx, endpoint, err))
 		return
 	}
+	s.writeBody(w, body, etag, "MISS")
 }
 
 // errDeadline is the cancellation cause installed by the per-request
