@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzImportJSONL -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzImportCSV -fuzztime $(FUZZTIME) ./internal/corpusstore
 	$(GO) test -run '^$$' -fuzz FuzzParseRef -fuzztime $(FUZZTIME) ./internal/corpusstore
+	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime $(FUZZTIME) ./internal/lru
 
 # soak escalates the metamorphic differential harness: each -count rerun
 # shares the process, so the suites draw a fresh seed block per rerun

@@ -1,7 +1,6 @@
 package itemset
 
 import (
-	"container/list"
 	"context"
 	"strconv"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
+	"cuisinevol/internal/lru"
 )
 
 // IndexKey derives the canonical cache key for one corpus slice's
@@ -45,37 +45,28 @@ type IndexCacheStats struct {
 	BytesSaved       uint64
 }
 
-// IndexCache is a byte-budget LRU of immutable corpus indexes with
-// coalesced builds: concurrent Gets for the same key share one
-// BuildIndex run (a flight.Group, DESIGN.md §8), and completed indexes
-// are retained until the budget forces eviction. Safe for concurrent
-// use.
+// IndexCache is a byte-budget LRU of immutable corpus indexes (an
+// lru.Cache) with coalesced builds: concurrent Gets for the same key
+// share one BuildIndex run (a flight.Group, DESIGN.md §8), and completed
+// indexes are retained until the budget forces eviction. Safe for
+// concurrent use.
 type IndexCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
-	order   *list.List // front = most recently used; values are *indexEntry
-	entries map[string]*list.Element
-	flight  flight.Group[*Index]
+	// mu guards the counters below and makes a build's commit (the
+	// Forgotten check plus the Put) and an invalidation (RemoveFunc plus
+	// Forget) mutually atomic. Lock order: mu, then lru or flight.
+	mu     sync.Mutex
+	lru    *lru.Cache[*Index]
+	flight flight.Group[*Index]
 
-	builds, hits, misses, evictions, invalidations uint64
-	arrays, bitsets, runs, bytesSaved              uint64
-}
-
-type indexEntry struct {
-	key string
-	ix  *Index
+	builds, invalidations             uint64
+	arrays, bitsets, runs, bytesSaved uint64
 }
 
 // NewIndexCache returns a cache bounded at budget bytes of retained
 // index memory. budget <= 0 disables retention: every Get builds (still
 // coalesced with concurrent identical Gets).
 func NewIndexCache(budget int64) *IndexCache {
-	return &IndexCache{
-		budget:  budget,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-	}
+	return &IndexCache{lru: lru.New(budget, (*Index).Bytes)}
 }
 
 // Get returns the index cached under key, building it from source's
@@ -86,15 +77,18 @@ func NewIndexCache(budget int64) *IndexCache {
 // ctx.Err(). The returned Index is immutable and remains valid after
 // eviction.
 func (c *IndexCache) Get(ctx context.Context, key string, source func() ([][]ingredient.ID, error)) (*Index, error) {
-	if ix, ok := c.lookup(key, &c.hits, &c.misses); ok {
+	if ix, ok := c.lru.Get(key); ok {
 		return ix, nil
 	}
 	ix, err, _ := c.flight.Do(ctx, key, func(fctx context.Context) (*Index, error) {
 		// A build that completed between this Get's miss and its flight
 		// leadership already cached the index.
-		if ix, ok := c.lookup(key, nil, &c.builds); ok {
+		if ix, ok := c.lru.Peek(key); ok {
 			return ix, nil
 		}
+		c.mu.Lock()
+		c.builds++
+		c.mu.Unlock()
 		ix, err := buildFromSource(source)
 		if err != nil {
 			return nil, err
@@ -105,28 +99,11 @@ func (c *IndexCache) Get(ctx context.Context, key string, source func() ([][]ing
 		// A build whose fingerprint was invalidated mid-flight still
 		// serves its waiters, but must not resurrect in the cache.
 		if !c.flight.Forgotten(fctx) {
-			c.put(key, ix)
+			c.lru.Put(key, ix)
 		}
 		return ix, nil
 	})
 	return ix, err
-}
-
-// lookup returns the index cached under key, marking it most recently
-// used, and counts the outcome in *hit (unless nil) or *miss.
-func (c *IndexCache) lookup(key string, hit, miss *uint64) (*Index, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	switch {
-	case !ok:
-		*miss++
-		return nil, false
-	case hit != nil:
-		*hit++
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*indexEntry).ix, true
 }
 
 // buildFromSource materializes the transactions and builds the index.
@@ -138,47 +115,18 @@ func buildFromSource(source func() ([][]ingredient.ID, error)) (*Index, error) {
 	return BuildIndex(txs)
 }
 
-// put inserts under c.mu, evicting LRU entries to fit the budget, and
-// reports whether it did. Indexes larger than the whole budget are
-// returned to callers but not retained.
-func (c *IndexCache) put(key string, ix *Index) bool {
-	size := ix.Bytes()
-	if size > c.budget {
-		return false
-	}
-	if _, ok := c.entries[key]; ok {
-		// A racing build for the same key already landed; same content
-		// fingerprint implies an equivalent index — keep the incumbent.
-		return false
-	}
-	for c.used+size > c.budget {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*indexEntry)
-		c.order.Remove(back)
-		delete(c.entries, ev.key)
-		c.used -= ev.ix.Bytes()
-		c.evictions++
-	}
-	c.entries[key] = c.order.PushFront(&indexEntry{key: key, ix: ix})
-	c.used += size
-	return true
-}
-
 // Put inserts an externally built index — a LiveIndex snapshot derived
 // incrementally, rather than built from a source callback — under key.
 // The usual budget and LRU rules apply; an index wider than the whole
 // budget is simply not retained. A racing or pre-existing entry for the
-// same key is kept (same key means same content fingerprint, so the
-// incumbent is equivalent). Container telemetry counts the index only
-// when it is actually inserted — repeated Puts of one memoized snapshot
-// must not inflate the totals.
+// same key is kept and marked most recently used (same key means same
+// content fingerprint, so the incumbent is equivalent). Container
+// telemetry counts the index only when it is actually inserted —
+// repeated Puts of one memoized snapshot must not inflate the totals.
 func (c *IndexCache) Put(key string, ix *Index) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.put(key, ix) {
+	if c.lru.Put(key, ix) {
 		c.countContainers(ix)
 	}
 }
@@ -202,23 +150,15 @@ func (c *IndexCache) countContainers(ix *Index) {
 // byte-deterministic after removal, exactly as after eviction.
 func (c *IndexCache) InvalidateFingerprint(fp string) int {
 	prefix := fp + "|"
+	match := func(key string) bool { return strings.HasPrefix(key, prefix) }
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := 0
-	for key, el := range c.entries {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		c.order.Remove(el)
-		delete(c.entries, key)
-		c.used -= el.Value.(*indexEntry).ix.Bytes()
-		removed++
-	}
+	removed := c.lru.RemoveFunc(match)
 	// Builds still in flight for this fingerprint must not land in the
 	// cache when they complete — without this, a Get racing the
 	// invalidation resurrects the deleted corpus's index. They count
 	// with the entries removed directly.
-	dropped := c.flight.Forget(func(key string) bool { return strings.HasPrefix(key, prefix) })
+	dropped := c.flight.Forget(match)
 	c.invalidations += uint64(removed + dropped)
 	return removed
 }
@@ -227,14 +167,15 @@ func (c *IndexCache) InvalidateFingerprint(fp string) int {
 func (c *IndexCache) Stats() IndexCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	hits, misses, evictions, used, entries := c.lru.Stats()
 	return IndexCacheStats{
 		Builds:           c.builds,
-		Hits:             c.hits,
-		Misses:           c.misses,
-		Evictions:        c.evictions,
+		Hits:             hits,
+		Misses:           misses,
+		Evictions:        evictions,
 		Invalidations:    c.invalidations,
-		Bytes:            c.used,
-		Entries:          len(c.entries),
+		Bytes:            used,
+		Entries:          entries,
 		ContainerArrays:  c.arrays,
 		ContainerBitsets: c.bitsets,
 		ContainerRuns:    c.runs,

@@ -118,7 +118,8 @@ func TestIndexCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewIndexCache(probe.Bytes() + probe.Bytes()/2) // room for one, not two
+	budget := probe.Bytes() + probe.Bytes()/2 // room for one, not two
+	c := NewIndexCache(budget)
 	sourceFor := func(shift int) func() ([][]ingredient.ID, error) {
 		return func() ([][]ingredient.ID, error) {
 			txs := classicTxs()
@@ -143,8 +144,8 @@ func TestIndexCacheEviction(t *testing.T) {
 	if st.Evictions == 0 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want one eviction leaving one entry", st)
 	}
-	if st.Bytes > c.budget {
-		t.Fatalf("retained bytes %d exceed budget %d", st.Bytes, c.budget)
+	if st.Bytes > budget {
+		t.Fatalf("retained bytes %d exceed budget %d", st.Bytes, budget)
 	}
 	// The evicted index is immutable and still mineable.
 	res, err := MineIndexed(first, 2.0/9, MineOptions{})

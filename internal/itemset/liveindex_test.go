@@ -239,7 +239,14 @@ func TestIndexCachePutAndInvalidateFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	containers := func(st IndexCacheStats) [4]uint64 {
+		return [4]uint64{st.ContainerArrays, st.ContainerBitsets, st.ContainerRuns, st.BytesSaved}
+	}
+	before := containers(cache.Stats())
 	cache.Put(IndexKey(fp, "", false), other)
+	if after := containers(cache.Stats()); after != before {
+		t.Fatalf("container totals moved across a Put that kept the incumbent: %v -> %v", before, after)
+	}
 	got, err := cache.Get(context.Background(), IndexKey(fp, "", false), func() ([][]ingredient.ID, error) {
 		t.Fatal("Get rebuilt an index Put should have cached")
 		return nil, nil

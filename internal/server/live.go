@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strings"
-	"sync"
 
 	"cuisinevol/internal/corpusstore"
 	"cuisinevol/internal/ingest"
@@ -16,91 +15,22 @@ import (
 // new corpus version whose whole-corpus index is derived from the
 // parent's LiveIndex head in O(delta) instead of rebuilt from scratch.
 //
-// The server keeps a small set of live heads keyed by corpus
-// fingerprint: appending to a corpus takes its head (or seeds one from
-// the parent on first touch), applies the delta, snapshots, re-keys the
-// head under the child fingerprint and inserts the snapshot into the
-// IndexCache under IndexKey(childFP, "", false) — the exact key
+// The server keeps a small LRU of live heads (Server.live) keyed by
+// corpus fingerprint: appending to a corpus takes its head (or seeds
+// one from the parent on first touch), applies the delta, snapshots,
+// re-keys the head under the child fingerprint and inserts the snapshot
+// into the IndexCache under IndexKey(childFP, "", false) — the exact key
 // viewIndex uses, and the snapshot is structurally identical to what a
 // from-scratch build would cache there (the LiveIndex contract), so
 // queries cannot tell the two paths apart. Region and category views
 // stay lazily built per view; only the whole-corpus ingredient index
 // rides the incremental path.
 
-// maxLiveHeads bounds how many corpus lineages keep a warm write head;
-// beyond it the oldest head is dropped and the next append to that
-// lineage re-seeds (correct either way, just O(n) once).
+// maxLiveHeads bounds how many corpus lineages keep a warm write head
+// (Server.live counts each head as size 1); beyond it the least recently
+// advanced head is evicted and the next append to that lineage re-seeds
+// (correct either way, just O(n) once).
 const maxLiveHeads = 8
-
-// liveSet owns the server's LiveIndex heads. Safe for concurrent use.
-type liveSet struct {
-	mu    sync.Mutex
-	heads map[string]*itemset.LiveIndex // corpus fingerprint -> head
-	order []string                      // insertion order, oldest first
-}
-
-func newLiveSet() *liveSet {
-	return &liveSet{heads: make(map[string]*itemset.LiveIndex)}
-}
-
-// take removes and returns the head for fp, or nil if none is warm.
-func (l *liveSet) take(fp string) *itemset.LiveIndex {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	li := l.heads[fp]
-	if li != nil {
-		l.remove(fp)
-	}
-	return li
-}
-
-// put installs li as the head for fp, evicting the oldest head beyond
-// the cap.
-func (l *liveSet) put(fp string, li *itemset.LiveIndex) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.heads[fp]; ok {
-		l.remove(fp)
-	}
-	l.heads[fp] = li
-	l.order = append(l.order, fp)
-	for len(l.order) > maxLiveHeads {
-		oldest := l.order[0]
-		l.remove(oldest)
-	}
-}
-
-// drop discards the head for fp, if any (corpus deleted).
-func (l *liveSet) drop(fp string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.remove(fp)
-}
-
-// remove unlinks fp under l.mu.
-func (l *liveSet) remove(fp string) {
-	if _, ok := l.heads[fp]; !ok {
-		return
-	}
-	delete(l.heads, fp)
-	for i, k := range l.order {
-		if k == fp {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// snapshotStats reports the retained head count and the summed epochs
-// across heads (the write-progress gauge on /metrics).
-func (l *liveSet) snapshotStats() (heads int, epochs uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, li := range l.heads {
-		epochs += li.Epoch()
-	}
-	return len(l.heads), epochs
-}
 
 // appendIndexInfo is the "index" object in the append response: how the
 // child's index was derived.
@@ -188,14 +118,12 @@ func (s *Server) handleCorpusAppend(w http.ResponseWriter, r *http.Request) {
 // only O(parent) step; every subsequent append along the lineage costs
 // O(delta) plus the snapshot materialization.
 func (s *Server) appendLive(parent *recipe.Corpus, parentFP string, child *recipe.Corpus, childFP string) (appendIndexInfo, error) {
-	li := s.live.take(parentFP)
-	seeded := false
-	if li == nil {
+	li, warm := s.live.Remove(parentFP)
+	if !warm {
 		li = itemset.NewLiveIndex()
 		if _, err := li.Append(parent.AllView().Transactions()); err != nil {
 			return appendIndexInfo{}, err
 		}
-		seeded = true
 		s.metrics.liveSeeds.Add(1)
 	}
 	delta := child.TailView(parent.Len()).Transactions()
@@ -203,13 +131,15 @@ func (s *Server) appendLive(parent *recipe.Corpus, parentFP string, child *recip
 		return appendIndexInfo{}, err
 	}
 	snap := li.Snapshot()
-	s.live.put(childFP, li)
+	// A head already warm under childFP holds the same transactions and
+	// is kept; li is then dropped.
+	s.live.Put(childFP, li)
 	s.indexes.Put(itemset.IndexKey(childFP, "", false), snap)
 	s.metrics.liveAppends.Add(1)
 	s.metrics.liveAppendedTx.Add(uint64(len(delta)))
 	s.metrics.liveSnapshots.Add(1)
 	return appendIndexInfo{
-		Incremental: !seeded,
+		Incremental: warm,
 		Epoch:       li.Epoch(),
 		AppendedTx:  len(delta),
 	}, nil

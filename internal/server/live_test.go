@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -350,5 +352,67 @@ func TestCorpusErrorMapping(t *testing.T) {
 				t.Fatalf("%s %s: missing structured error body", tc.method, tc.path)
 			}
 		})
+	}
+}
+
+// TestLiveHeadEvictionPolicy pins maxLiveHeads: the server keeps at most
+// that many warm write heads and drops the least recently advanced
+// lineage first, so the next append to that lineage re-seeds while the
+// newest lineage stays incremental.
+func TestLiveHeadEvictionPolicy(t *testing.T) {
+	_, ts := newTestServer(t)
+	appendTo := func(name string) appendRespBody {
+		t.Helper()
+		var ap appendRespBody
+		if resp := doJSON(t, ts, http.MethodPost, "/v1/corpora/"+name+"/append", appendJSONL, &ap); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("append to %s: %d", name, resp.StatusCode)
+		}
+		return ap
+	}
+	gauge := func(name string) uint64 {
+		t.Helper()
+		_, body := get(t, ts, "/metrics")
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("metrics missing %s", name)
+		return 0
+	}
+
+	// Distinct content per lineage: i extra copies of one record.
+	const extra = `{"title":"Bruschetta","region":"ITA","ingredients":["tomato","garlic"]}` + "\n"
+	names := make([]string, maxLiveHeads+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("lineage-%d", i)
+		body := uploadJSONL + strings.Repeat(extra, i)
+		if resp := doJSON(t, ts, http.MethodPost, "/v1/corpora?name="+names[i], body, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: %d", names[i], resp.StatusCode)
+		}
+		if ap := appendTo(names[i]); ap.Index.Incremental {
+			t.Fatalf("first append to %s reported incremental=true", names[i])
+		}
+	}
+	if got := gauge("cuisinevol_live_heads"); got != maxLiveHeads {
+		t.Fatalf("cuisinevol_live_heads = %d after %d lineages, want %d", got, len(names), maxLiveHeads)
+	}
+
+	seeds := gauge("cuisinevol_live_seeds_total")
+	if ap := appendTo(names[0]); ap.Index.Incremental {
+		t.Fatal("append to the evicted oldest lineage reported incremental=true")
+	}
+	if got := gauge("cuisinevol_live_seeds_total"); got != seeds+1 {
+		t.Fatalf("cuisinevol_live_seeds_total = %d after re-seeding, want %d", got, seeds+1)
+	}
+	if ap := appendTo(names[len(names)-1]); !ap.Index.Incremental {
+		t.Fatal("append to the newest lineage re-seeded (its head was evicted)")
+	}
+	if got := gauge("cuisinevol_live_heads"); got != maxLiveHeads {
+		t.Fatalf("cuisinevol_live_heads = %d, want %d", got, maxLiveHeads)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"cuisinevol/internal/corpusstore"
 	"cuisinevol/internal/itemset"
+	"cuisinevol/internal/lru"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. They span
@@ -101,7 +102,7 @@ func (m *metrics) observe(endpoint string, status int, seconds float64) {
 // WriteTo renders the registry in Prometheus text exposition format
 // (version 0.0.4). Families and label values are emitted in sorted
 // order.
-func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.IndexCache, registry *corpusstore.Registry, live *liveSet) error {
+func (m *metrics) WriteTo(w io.Writer, cache *lru.Cache[[]byte], indexes *itemset.IndexCache, registry *corpusstore.Registry, live *lru.Cache[*itemset.LiveIndex]) error {
 	m.mu.Lock()
 	endpoints := make([]string, 0, len(m.requests))
 	for ep := range m.requests {
@@ -183,12 +184,16 @@ func (m *metrics) WriteTo(w io.Writer, cache *resultCache, indexes *itemset.Inde
 	scalar("cuisinevol_corpus_store_bytes", "gauge", "Payload bytes in the backing corpus store.", rst.StoreBytes)
 	scalar("cuisinevol_corpus_store_entries", "gauge", "Corpora in the backing store.", rst.StoreEntries)
 
-	liveHeads, liveEpochs := live.snapshotStats()
+	heads := live.Entries()
+	var liveEpochs uint64
+	for _, h := range heads {
+		liveEpochs += h.Value.Epoch()
+	}
 	scalar("cuisinevol_live_appends_total", "counter", "Corpus appends served through an incremental live-index head.", m.liveAppends.Load())
 	scalar("cuisinevol_live_appended_tx_total", "counter", "Transactions appended incrementally (delta sizes, O(delta) each).", m.liveAppendedTx.Load())
 	scalar("cuisinevol_live_seeds_total", "counter", "Live heads seeded by a full corpus build (cold lineage, restart, or head eviction).", m.liveSeeds.Load())
 	scalar("cuisinevol_live_snapshots_total", "counter", "Epoch snapshots materialized into the index cache by appends.", m.liveSnapshots.Load())
-	scalar("cuisinevol_live_heads", "gauge", "Live-index write heads currently retained.", liveHeads)
+	scalar("cuisinevol_live_heads", "gauge", "Live-index write heads currently retained.", len(heads))
 	scalar("cuisinevol_live_epochs", "gauge", "Summed mutation epochs across retained live heads.", liveEpochs)
 
 	scalar("cuisinevol_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight computation.", m.coalesced.Load())

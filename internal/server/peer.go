@@ -214,7 +214,7 @@ func (s *Server) SaveCacheSnapshot() (int, error) {
 	raw := s.cache.Entries()
 	entries := make([]peering.SnapshotEntry, len(raw))
 	for i, e := range raw {
-		entries[i] = peering.SnapshotEntry{Key: e.key, Body: e.val}
+		entries[i] = peering.SnapshotEntry{Key: e.Key, Body: e.Value}
 	}
 	if err := peering.WriteSnapshot(path, s.NodeID(), s.fingerprint, entries); err != nil {
 		return 0, err

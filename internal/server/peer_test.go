@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -310,6 +311,16 @@ func TestCacheSnapshotSaveRestore(t *testing.T) {
 		}
 		bodies[p] = rec.Body.String()
 	}
+	// Touch the oldest entry so the recency order differs from the
+	// insertion order; the snapshot must carry the recency order.
+	inserted := cacheKeys(first)
+	if rec := doReq(first.Handler(), paths[0], nil); rec.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("touch %s: X-Cache=%q", paths[0], rec.Header().Get("X-Cache"))
+	}
+	saved := cacheKeys(first)
+	if saved[len(saved)-1] != inserted[0] {
+		t.Fatalf("touching %s did not make it most recently used: %v -> %v", paths[0], inserted, saved)
+	}
 	n, err := first.SaveCacheSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -328,6 +339,9 @@ func TestCacheSnapshotSaveRestore(t *testing.T) {
 	if got := restarted.metrics.peerSnapshotEntries.Load(); got != uint64(len(paths)) {
 		t.Fatalf("snapshot entries restored = %d, want %d", got, len(paths))
 	}
+	if got := cacheKeys(restarted); !slices.Equal(got, saved) {
+		t.Fatalf("restored recency order %v, want %v", got, saved)
+	}
 	for _, p := range paths {
 		rec := doReq(restarted.Handler(), p, nil)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "HIT" {
@@ -340,6 +354,15 @@ func TestCacheSnapshotSaveRestore(t *testing.T) {
 	if restarted.Computations() != 0 {
 		t.Fatalf("warm restart recomputed %d keys", restarted.Computations())
 	}
+}
+
+// cacheKeys lists srv's result-cache keys, least recently used first.
+func cacheKeys(srv *Server) []string {
+	var keys []string
+	for _, e := range srv.cache.Entries() {
+		keys = append(keys, e.Key)
+	}
+	return keys
 }
 
 // TestCacheSnapshotCorruptStartsCold: a corrupt snapshot is quarantined

@@ -50,6 +50,7 @@ import (
 	"cuisinevol/internal/flight"
 	"cuisinevol/internal/ingredient"
 	"cuisinevol/internal/itemset"
+	"cuisinevol/internal/lru"
 	"cuisinevol/internal/peering"
 	"cuisinevol/internal/recipe"
 )
@@ -130,9 +131,9 @@ type Server struct {
 	corpus      *recipe.Corpus // the default corpus (corpus= absent)
 	fingerprint string
 	registry    *corpusstore.Registry
-	cache       *resultCache
+	cache       *lru.Cache[[]byte] // rendered bodies by resultKey
 	indexes     *itemset.IndexCache
-	live        *liveSet
+	live        *lru.Cache[*itemset.LiveIndex] // write heads by corpus fingerprint
 	flight      flight.Group[[]byte]
 	admit       *admission
 	chaos       *chaos
@@ -201,7 +202,7 @@ func New(opts Options) (*Server, error) {
 		registry:    registry,
 		cache:       newResultCache(opts.CacheBytes),
 		indexes:     itemset.NewIndexCache(opts.IndexBytes),
-		live:        newLiveSet(),
+		live:        lru.New(maxLiveHeads, func(*itemset.LiveIndex) int64 { return 1 }),
 		admit:       newAdmission(opts.Compute, opts.MaxQueue, shedRetryAfter, m),
 		chaos:       newChaos(opts.Chaos, m),
 		metrics:     m,
