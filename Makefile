@@ -100,14 +100,17 @@ loadtest-cluster:
 
 # bench-smoke keeps `make check` fast (one iteration per benchmark) while
 # still exercising every benchmarked pipeline end to end and refreshing
-# BENCH_fig_pipeline.json's shape.
+# BENCH_fig_pipeline.json's shape. Like bench-baseline it runs at -cpu 1,
+# the GOMAXPROCS the gates compare at; benchjson records it from the
+# benchmark names as the baseline's "gomaxprocs" field.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x -cpu 1 ./... \
 		| $(GO) run ./cmd/benchjson > BENCH_fig_pipeline.json
 
-# bench-baseline records the real numbers committed with a PR.
+# bench-baseline records the real numbers committed with a change, at
+# -cpu 1 like the gates that compare against them.
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -cpu 1 ./... \
 		| $(GO) run ./cmd/benchjson > BENCH_fig_pipeline.json
 
 # benchgate reruns the benchmarks and fails when any regresses past

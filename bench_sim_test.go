@@ -44,7 +44,9 @@ func BenchmarkEvolveRun(b *testing.B) {
 }
 
 // BenchmarkEnsembleReplicates measures the evolve→mine replicate
-// ensemble (benchReplicates runs, parallel workers, zero-copy handoff).
+// ensemble (benchReplicates runs, parallel workers, the vertical
+// handoff: tidset bits set straight from the arena, counted by
+// itemset.MineBitmapSupports).
 func BenchmarkEnsembleReplicates(b *testing.B) {
 	for _, kind := range evomodel.Kinds() {
 		kind := kind

@@ -58,6 +58,10 @@ type Benchmark struct {
 	BytesPerOp *float64           `json:"bytes_per_op,omitempty"`
 	AllocsPer  *float64           `json:"allocs_per_op,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+
+	// procs is the GOMAXPROCS the benchmark ran at, read from the -N
+	// suffix go test appends to its name (no suffix means 1).
+	procs int
 }
 
 // Baseline is the file-level envelope.
@@ -140,13 +144,14 @@ func main() {
 }
 
 // parseBenchOutput scans `go test -bench` output, echoing every line to
-// echo, and returns the parsed baseline. It errors when no benchmark
-// lines appear (a typo'd -bench pattern should fail loudly).
+// echo, and returns the parsed baseline, whose GOMAXPROCS is the one
+// the benchmarks ran at. It errors when no benchmark lines appear (a
+// typo'd -bench pattern should fail loudly) and when the benchmarks
+// ran at more than one GOMAXPROCS, which one baseline cannot record.
 func parseBenchOutput(r io.Reader, echo io.Writer) (*Baseline, error) {
 	base := &Baseline{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Generated: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -158,6 +163,12 @@ func parseBenchOutput(r io.Reader, echo io.Writer) (*Baseline, error) {
 			continue
 		}
 		if b, ok := parseBenchLine(line); ok {
+			if len(base.Benchmarks) == 0 {
+				base.GOMAXPROCS = b.procs
+			} else if b.procs != base.GOMAXPROCS {
+				return nil, fmt.Errorf("%s ran at GOMAXPROCS %d, earlier benchmarks at %d; record one -cpu value",
+					b.Name, b.procs, base.GOMAXPROCS)
+			}
 			base.Benchmarks = append(base.Benchmarks, b)
 		}
 	}
@@ -260,14 +271,15 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	name := fields[0]
-	// Trim the -<GOMAXPROCS> suffix go test appends to benchmark names.
+	name, procs := fields[0], 1
+	// Trim the -<GOMAXPROCS> suffix go test appends to benchmark names
+	// run at more than one P.
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
-	b := Benchmark{Name: name, Iterations: iters}
+	b := Benchmark{Name: name, Iterations: iters, procs: procs}
 	// Remaining fields are "<value> <unit>" pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

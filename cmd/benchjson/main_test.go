@@ -75,6 +75,31 @@ PASS
 	}
 }
 
+// TestParseBenchOutputGOMAXPROCS: the baseline records the GOMAXPROCS
+// the benchmarks ran at, from their -N name suffix (none means 1), not
+// the converter's own, and refuses output mixing several values.
+func TestParseBenchOutputGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		out   string
+		procs int
+	}{
+		{"BenchmarkA   10   100 ns/op\nBenchmarkB/sub=8   20   200 ns/op\n", 1},
+		{"BenchmarkA-4   10   100 ns/op\nBenchmarkB/sub=8-4   20   200 ns/op\n", 4},
+	} {
+		base, err := parseBenchOutput(strings.NewReader(c.out), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.GOMAXPROCS != c.procs {
+			t.Errorf("%q: gomaxprocs = %d, want %d", c.out, base.GOMAXPROCS, c.procs)
+		}
+	}
+	mixed := "BenchmarkA   10   100 ns/op\nBenchmarkA-2   10   100 ns/op\n"
+	if _, err := parseBenchOutput(strings.NewReader(mixed), io.Discard); err == nil {
+		t.Error("output mixing GOMAXPROCS values should error")
+	}
+}
+
 func TestCompareBaselines(t *testing.T) {
 	old := &Baseline{Benchmarks: []Benchmark{
 		{Name: "BenchmarkA", NsPerOp: 1000, AllocsPer: fptr(100)},

@@ -132,13 +132,12 @@ func ReplicateDistribution(cfg EnsembleConfig, lex *ingredient.Lexicon, rep int)
 }
 
 // runReplicate executes one model run and mines its combinations. This
-// is the zero-copy evolve→mine boundary: the pooled machine emits
-// sorted transactions (ingredient or category, per cfg.Categories)
-// directly into its own reusable buffers and hands them to
-// itemset.MineSupports, which reads without mutating or retaining its
-// input and returns only the support series a distribution keeps — no
-// per-recipe clone, no second sort, no per-replicate machine
-// construction, no itemsets.
+// is the vertical evolve→mine boundary: the pooled machine sets one bit
+// per (item, recipe) — ingredient or category, per cfg.Categories —
+// straight from its arena into its own reusable tidset bitmaps, and
+// itemset.MineBitmapSupports counts them, returning only the support
+// series a distribution keeps — no transactions, no sort, no
+// per-replicate machine construction, no itemsets.
 func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep int) (rankfreq.Distribution, error) {
 	p := cfg.Params
 	p.Seed = replicateSeed(p.Seed, rep)
@@ -148,13 +147,11 @@ func runReplicate(cfg EnsembleConfig, lex *ingredient.Lexicon, label string, rep
 	m := acquireMachine(p, lex, randx.New(p.Seed))
 	defer releaseMachine(m)
 	m.evolve()
-	var txs [][]ingredient.ID
-	if cfg.Categories {
-		txs = m.emitCategoryTransactions()
-	} else {
-		txs = m.emitTransactions()
+	bm, err := m.tidsetBitmaps(cfg.Categories)
+	if err != nil {
+		return rankfreq.Distribution{}, err
 	}
-	freqs, err := itemset.MineSupports(txs, cfg.MinSupport)
+	freqs, err := itemset.MineBitmapSupports(bm, len(m.recs), cfg.MinSupport)
 	if err != nil {
 		return rankfreq.Distribution{}, err
 	}

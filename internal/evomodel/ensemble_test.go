@@ -132,7 +132,7 @@ func TestReplicateSeedsDistinct(t *testing.T) {
 // toCategoryTransactions maps ingredient transactions to sorted distinct
 // category sets (as ingredient.ID-compatible ints), the representation
 // used by the category-combination analyses. It is the test oracle for
-// the machine's own category emission.
+// the machine's category tidset bitmaps.
 func toCategoryTransactions(txs [][]ingredient.ID, lex *ingredient.Lexicon) [][]ingredient.ID {
 	out := make([][]ingredient.ID, len(txs))
 	for i, tx := range txs {

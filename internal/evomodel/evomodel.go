@@ -13,8 +13,9 @@
 // single flat []ingredient.ID arena addressed by (offset, length)
 // headers, machines reset instead of reallocating (a sync.Pool hands the
 // same machine to each scheduler worker across all the replicates it
-// runs), and the evolve→mine boundary emits sorted transactions directly
-// into machine-owned packed buffers. The kernel is pinned byte-for-byte
+// runs), and the evolve→mine boundary sets per-item tidset bits straight
+// from the arena into a machine-owned buffer, with no transactions in
+// between. The kernel is pinned byte-for-byte
 // against the retained per-recipe-slice reference implementation (see
 // reference_test.go and the differential tests): every RNG draw happens in
 // the same order, so outputs are identical at every seed.
@@ -23,6 +24,7 @@ package evomodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"cuisinevol/internal/ingredient"
@@ -239,7 +241,7 @@ type span struct{ off, n int32 }
 // dense slices indexed by the raw ingredient ID, recipes live in a
 // single growable arena addressed by spans instead of one heap slice
 // each, and every scratch buffer (sampling, shuffling, weighted draws,
-// transaction emission) is retained between runs. reset(p, lex, src)
+// the miner's tidset bitmaps) is retained between runs. reset(p, lex, src)
 // reinitializes the machine for new parameters without discarding any
 // backing storage; acquireMachine/releaseMachine wrap a sync.Pool so
 // each scheduler worker effectively reuses one machine across all the
@@ -273,11 +275,7 @@ type machine struct {
 	shuffle []ingredient.ID // scratch: clone of I for the initial shuffle
 	sample  randx.SampleBuf // scratch: uniform without-replacement draws
 	taken   []bool          // scratch: weighted without-replacement draws
-
-	// Emission buffers: sorted transactions handed to the miner without
-	// per-recipe allocation (see emitTransactions).
-	txArena []ingredient.ID
-	txHeads [][]ingredient.ID
+	tidsets []uint64        // per-item recipe bitmaps (see tidsetBitmaps)
 }
 
 // machinePool recycles machines across runs and replicates. Workers of
@@ -569,58 +567,43 @@ func (m *machine) cloneTransactions() [][]ingredient.ID {
 	return out
 }
 
-// emitTransactions writes the recipe pool, each recipe sorted
-// ascending, into the machine-owned emission buffers and returns the
-// headers — the zero-copy handoff the replicate pipeline feeds straight
-// into itemset.Mine. The result is valid until the machine is reset or
-// released; callers that outlive the machine use cloneTransactions.
-func (m *machine) emitTransactions() [][]ingredient.ID {
-	m.txArena = append(m.txArena[:0], m.arena...)
-	out := m.emitHeaders(len(m.recs))
-	for i, h := range m.recs {
-		tx := m.txArena[h.off : h.off+h.n : h.off+h.n]
-		sortIDs(tx)
-		out[i] = tx
+// tidsetBitmaps lays the recipe pool out vertically for
+// itemset.MineBitmapSupports, in the machine's reusable buffer: one
+// words-wide bitmap row per item, with bit r of a row set when recipe
+// r holds the item. Items are the ingredient IDs (all below
+// len(m.fitness)) or, with categories, the §VI control's ingredient
+// categories, where OR-ing a category's bit twice is what collapses a
+// recipe to its category set. An ingredient listed twice in one recipe
+// is an error, as it was for the sorted transactions this layout
+// replaces. The result is valid until the machine is reset or
+// released.
+func (m *machine) tidsetBitmaps(categories bool) ([]uint64, error) {
+	words := (len(m.recs) + 63) / 64
+	rows := len(m.fitness)
+	if categories {
+		rows = ingredient.NumCategories
 	}
-	return out
-}
-
-// emitCategoryTransactions is emitTransactions for the §VI control
-// analyses: each recipe becomes its sorted distinct category set (as
-// ingredient.ID-compatible ints), emitted directly from the arena
-// without materializing the ingredient transactions first.
-func (m *machine) emitCategoryTransactions() [][]ingredient.ID {
-	// Presize so appends never reallocate mid-emission (earlier headers
-	// alias the buffer): a recipe's category set is never larger than
-	// the recipe itself, so the arena length bounds the total.
-	if cap(m.txArena) < len(m.arena) {
-		m.txArena = make([]ingredient.ID, 0, len(m.arena))
-	} else {
-		m.txArena = m.txArena[:0]
-	}
-	out := m.emitHeaders(len(m.recs))
-	for i, h := range m.recs {
-		var present [ingredient.NumCategories]bool
-		for _, id := range m.arena[h.off : h.off+h.n] {
-			present[m.lex.CategoryOf(id)] = true
-		}
-		off := len(m.txArena)
-		for c, ok := range present {
-			if ok {
-				m.txArena = append(m.txArena, ingredient.ID(c))
+	m.tidsets = slices.Grow(m.tidsets[:0], rows*words)[:rows*words]
+	clear(m.tidsets)
+	bm := m.tidsets
+	for r, h := range m.recs {
+		word, bit := r>>6, uint64(1)<<(r&63)
+		items := m.arena[h.off : h.off+h.n]
+		if categories {
+			for _, id := range items {
+				bm[int(m.lex.CategoryOf(id))*words+word] |= bit
 			}
+			continue
 		}
-		out[i] = m.txArena[off:len(m.txArena):len(m.txArena)]
+		for _, id := range items {
+			i := int(id)*words + word
+			if bm[i]&bit != 0 {
+				return nil, fmt.Errorf("evomodel: recipe %d lists ingredient %d twice", r, id)
+			}
+			bm[i] |= bit
+		}
 	}
-	return out
-}
-
-// emitHeaders returns the reusable header slice sized to n.
-func (m *machine) emitHeaders(n int) [][]ingredient.ID {
-	if cap(m.txHeads) < n {
-		m.txHeads = make([][]ingredient.ID, n)
-	}
-	return m.txHeads[:n]
+	return bm, nil
 }
 
 func sortIDs(xs []ingredient.ID) {

@@ -131,8 +131,9 @@ func TestKernelDifferentialLineage(t *testing.T) {
 }
 
 // referenceEnsemble recomputes runEnsemble's aggregate by composing
-// reference-kernel replicates sequentially — the ground truth for the
-// zero-copy evolve→mine handoff in runReplicate.
+// reference-kernel replicates sequentially, each mined as transactions
+// by itemset.Mine — the ground truth for the vertical evolve→mine
+// handoff in runReplicate.
 func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 	t.Helper()
 	label := cfg.Label
@@ -162,7 +163,7 @@ func referenceEnsemble(t *testing.T, cfg EnsembleConfig) rankfreq.Distribution {
 func TestKernelDifferentialEnsemble(t *testing.T) {
 	src := randx.New(0xD1FF + 3)
 	for _, categories := range []bool{false, true} {
-		for _, kind := range []Kind{CMRandom, CMCategory, CMMixture, NullModel, KinouchiOriginal} {
+		for _, kind := range allKinds() {
 			cfg := EnsembleConfig{
 				Params:     randomDiffParams(src, kind),
 				Replicates: 6,
@@ -176,16 +177,121 @@ func TestKernelDifferentialEnsemble(t *testing.T) {
 			}
 			want := referenceEnsemble(t, cfg)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v categories=%v: parallel zero-copy ensemble diverges from reference composition", kind, categories)
+				t.Fatalf("%v categories=%v: parallel vertical-handoff ensemble diverges from reference composition", kind, categories)
 			}
 		}
+	}
+}
+
+// verticalSupports runs the replicate path's handoff on an evolved
+// machine: its tidset bitmaps mined by itemset.MineBitmapSupports.
+func verticalSupports(m *machine, categories bool, minSupport float64) ([]float64, error) {
+	bm, err := m.tidsetBitmaps(categories)
+	if err != nil {
+		return nil, err
+	}
+	return itemset.MineBitmapSupports(bm, len(m.recs), minSupport)
+}
+
+// TestVerticalHandoffDifferential pins the vertical evolve→mine handoff
+// against the transaction path: on randomized machines of every kind,
+// for ingredient and category combinations, the support series mined
+// from the machine's tidset bitmaps must equal itemset.MineSupports and
+// itemset.Mine(...).Supports() over the same pool as transactions.
+func TestVerticalHandoffDifferential(t *testing.T) {
+	src := randx.New(0xD1FF + 5)
+	supports := []float64{0.02, 0.05, 0.2}
+	for _, kind := range allKinds() {
+		for trial := 0; trial < 6; trial++ {
+			p := randomDiffParams(src, kind)
+			if err := p.validate(); err != nil {
+				t.Fatalf("%v trial %d: %v", kind, trial, err)
+			}
+			m := acquireMachine(p, lex, randx.New(p.Seed))
+			m.evolve()
+			txs := m.cloneTransactions()
+			sup := supports[trial%len(supports)]
+			for _, categories := range []bool{false, true} {
+				pool := txs
+				if categories {
+					pool = toCategoryTransactions(txs, lex)
+				}
+				got, err := verticalSupports(m, categories, sup)
+				if err != nil {
+					t.Fatalf("%v trial %d categories=%v: vertical: %v", kind, trial, categories, err)
+				}
+				want, err := itemset.MineSupports(pool, sup)
+				if err != nil {
+					t.Fatalf("%v trial %d categories=%v: MineSupports: %v", kind, trial, categories, err)
+				}
+				res, err := itemset.Mine(pool, sup, itemset.MineOptions{})
+				if err != nil {
+					t.Fatalf("%v trial %d categories=%v: Mine: %v", kind, trial, categories, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v trial %d categories=%v: vertical handoff diverges from MineSupports (params %+v)", kind, trial, categories, p)
+				}
+				if !reflect.DeepEqual(got, res.Supports()) {
+					t.Fatalf("%v trial %d categories=%v: vertical handoff diverges from Mine (params %+v)", kind, trial, categories, p)
+				}
+			}
+			releaseMachine(m)
+		}
+	}
+}
+
+// TestVerticalHandoffEmptyPool: a machine holding no recipes hands over
+// no tidset words and mines to the same empty series as MineSupports.
+func TestVerticalHandoffEmptyPool(t *testing.T) {
+	m := &machine{lex: lex, fitness: make([]float64, 8)}
+	for _, categories := range []bool{false, true} {
+		got, err := verticalSupports(m, categories, 0.05)
+		if err != nil {
+			t.Fatalf("categories=%v: %v", categories, err)
+		}
+		want, err := itemset.MineSupports(m.cloneTransactions(), 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("categories=%v: got %v, want %v", categories, got, want)
+		}
+	}
+}
+
+// TestVerticalHandoffRejectsDuplicateIngredient: a recipe that lists an
+// ingredient twice fails the ingredient handoff, as MineSupports fails
+// its transaction, instead of mining a wrong count. The category
+// handoff collapses the recipe to its category set and agrees with the
+// transaction path.
+func TestVerticalHandoffRejectsDuplicateIngredient(t *testing.T) {
+	tomato, onion := lex.MustID("tomato"), lex.MustID("onion")
+	m := &machine{lex: lex, fitness: make([]float64, int(max(tomato, onion))+1)}
+	m.arena = []ingredient.ID{tomato, onion, onion, tomato, onion}
+	m.recs = []span{{off: 0, n: 2}, {off: 2, n: 3}}
+	if _, err := verticalSupports(m, false, 0.05); err == nil {
+		t.Fatal("ingredient handoff accepted a recipe with a duplicate ingredient")
+	}
+	if _, err := itemset.MineSupports(m.cloneTransactions(), 0.05); err == nil {
+		t.Fatal("MineSupports accepted a transaction with a duplicate item")
+	}
+	got, err := verticalSupports(m, true, 0.05)
+	if err != nil {
+		t.Fatalf("category handoff: %v", err)
+	}
+	want, err := itemset.MineSupports(toCategoryTransactions(m.cloneTransactions(), lex), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("category handoff = %v, want %v", got, want)
 	}
 }
 
 // TestKernelDifferentialInterleaved hammers pooled-machine reuse: the
 // same goroutine runs wildly differing parameter shapes back-to-back
 // (large then small ingredient sets, lineage on and off, category
-// emission between ingredient emissions) and every single output must
+// handoffs between ingredient handoffs) and every single output must
 // still match a fresh reference machine.
 func TestKernelDifferentialInterleaved(t *testing.T) {
 	src := randx.New(0xD1FF + 4)
@@ -226,9 +332,9 @@ func TestKernelDifferentialInterleaved(t *testing.T) {
 	}
 }
 
-// TestEmittedTransactionsIndependent guards the contract difference
-// between the public and internal emission paths: Run's result must stay
-// valid after unrelated runs recycle the machine that produced it.
+// TestEmittedTransactionsIndependent guards the public entry points'
+// copy contract: Run's result must stay valid after unrelated runs
+// recycle the machine that produced it.
 func TestEmittedTransactionsIndependent(t *testing.T) {
 	p := testParams(CMRandom, 99)
 	got, err := Run(p, lex)

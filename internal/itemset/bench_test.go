@@ -50,9 +50,8 @@ func sortIDs(xs []ingredient.ID) {
 	}
 }
 
-// BenchmarkEclatReplicatePool is the replicate-mining benchmark: one
-// raw mine over a duplicate-heavy model-generated pool, the hot path of
-// the Fig 4 pipeline.
+// BenchmarkEclatReplicatePool is one itemset-producing Mine — BuildIndex
+// plus MineIndexed — over a duplicate-heavy model-generated pool.
 func BenchmarkEclatReplicatePool(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	b.ReportAllocs()
@@ -64,10 +63,10 @@ func BenchmarkEclatReplicatePool(b *testing.B) {
 	}
 }
 
-// BenchmarkEclatReplicateSupports is the replicate ensembles' actual
-// call on the same pool: the count-only MineSupports, which keeps the
-// support series and never builds or sorts itemsets. The delta to
-// BenchmarkEclatReplicatePool is what count-only saves per replicate.
+// BenchmarkEclatReplicateSupports is the count-only MineSupports on the
+// same pool: the transactions laid out as dense per-item bitmaps and
+// mined by the entry the replicate ensembles call with bitmaps the
+// simulator fills directly. It never builds or sorts itemsets.
 func BenchmarkEclatReplicateSupports(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	// One warm-up mine heats the miner pool so a 1-iteration alloc gate
@@ -221,10 +220,10 @@ func BenchmarkMineWarmIndexSparseDense(b *testing.B) {
 	}
 }
 
-// BenchmarkMineColdSecondPoint is the pre-index behaviour at the same
-// second parameter point: every mine rebuilds dedup and bitmaps from
-// the raw transactions, which is exactly what the result cache could
-// never help with across thresholds.
+// BenchmarkMineColdSecondPoint is the no-reuse behaviour at the same
+// second parameter point: every Mine builds a throwaway Index from the
+// raw transactions, which is exactly what the result cache could never
+// help with across thresholds.
 func BenchmarkMineColdSecondPoint(b *testing.B) {
 	txs := replicatePool(7, 30, 3000, 9, 300)
 	if _, err := Mine(txs, 0.1, MineOptions{}); err != nil {

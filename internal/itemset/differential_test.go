@@ -162,7 +162,7 @@ func TestDifferentialEdgeCorpora(t *testing.T) {
 	}
 }
 
-// TestDifferentialIDTableCorpus drives the raw miner's ID table through
+// TestDifferentialIDTableCorpus drives MineSupports' ID table through
 // its hard cases: the int32 extremes and negative IDs, IDs spaced by
 // the table size, IDs that all share one home slot (every probe
 // collides), and more distinct items than a fresh table holds, so it

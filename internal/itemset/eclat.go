@@ -1,6 +1,8 @@
 package itemset
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -20,20 +22,22 @@ type itemCount struct {
 // allocation cost is amortized ~chunk/size-fold.
 const emitArenaChunk = 4096
 
-var eclatPool = sync.Pool{New: func() any { return newEclatMiner() }}
+var eclatPool = sync.Pool{New: func() any { return new(eclatMiner) }}
 
 // eclatShared is the read-only mining state the expansion workers
-// consume: built once per mine (or borrowed from a prebuilt Index),
-// then shared across the top-level prefix partitions (safely — nothing
-// here is written after construction). Tidsets are reached through one
-// posting view per frequent item, so the raw path's contiguous dense
-// arena and the indexed path's zero-copy views into the Index's
-// adaptive containers run the same expansion code.
+// consume: set up once per mine over a prebuilt Index or the caller's
+// bitmaps, then shared across the top-level prefix partitions (safely —
+// nothing here is written after construction). Tidsets are reached
+// through one posting view per frequent item, so the count-only path's
+// dense bitmap rows and the indexed path's zero-copy views into the
+// Index's adaptive containers run the same expansion code. Only the
+// Index carries weights: the count-only path mines every transaction
+// as its own tid.
 type eclatShared struct {
 	freq     []itemCount // frequent items, ascending count then ID
 	words    int         // dense bitmap length in uint64 words
-	weighted bool        // any unique transaction with weight > 1
-	weights  []int32     // per unique-transaction multiplicity
+	weighted bool        // any unique transaction with weight > 1 (Index only)
+	weights  []int32     // per unique-transaction multiplicity (Index only)
 	posts    []posting   // per frequent item: its tidset container
 	mc       int
 }
@@ -64,11 +68,11 @@ type eclatScratch struct {
 	arenaFree []ingredient.ID
 	sets      []Itemset
 
-	// countOnly switches the emit sink to appending just each set's
-	// count to counts (see mineSupports); sets and the arena are left
-	// alone.
+	// countOnly switches the emit sink to tallying each set's count in
+	// hist, where hist[c] is the number of sets with count c (see
+	// bitmapSupports); sets and the arena are left alone.
 	countOnly bool
-	counts    []int32
+	hist      []int32
 }
 
 // levelAt returns the depth's bitset buffer with room for n words.
@@ -107,7 +111,7 @@ func (s *eclatScratch) classAt(depth int) []eclatExt {
 // records just the count.
 func (s *eclatScratch) emitWith(item int32, count int) {
 	if s.countOnly {
-		s.counts = append(s.counts, int32(count))
+		s.hist[count]++
 		return
 	}
 	k := len(s.suffix) + 1
@@ -242,103 +246,39 @@ func (s *eclatScratch) expand(exts []eclatExt, depth int) {
 }
 
 // eclatWorkerPool recycles expansion scratch for the parallel path; the
-// serial path uses the miner's embedded scratch.
+// serial path uses the query's embedded scratch.
 var eclatWorkerPool = sync.Pool{New: func() any { return &eclatScratch{} }}
 
-// eclatMiner is the reusable vertical-kernel state: the item table,
-// the dedup map, the unique-transaction arena, the top-level bitmaps,
-// and a serial expansion scratch. Not safe for concurrent use; Mine and
-// MineSupports draw miners from a pool.
+// eclatMiner is the reusable count-only state behind MineBitmapSupports
+// and MineSupports: the item table, the bitmap layout MineSupports
+// builds from transactions, and a serial expansion scratch. Not safe
+// for concurrent use; both entries draw miners from a pool.
 type eclatMiner struct {
 	// ids maps each item to its count during the counting pass, then
-	// to its order index + 1 if frequent, or -1 if not.
-	ids    idTable
-	dedup  map[string]int32
-	keyBuf []byte
-	buf    []int32
-
-	// Unique projected transactions, flattened: transaction u occupies
-	// txArena[txOff[u]:txOff[u+1]] and occurred weights[u] times.
-	txArena []int32
-	txOff   []int32
-
-	// bitmapArena backs shared.refs on the raw (non-indexed) path; the
-	// indexed path points refs into Index memory instead.
-	bitmapArena []uint64
+	// to its bitmap row + 1 if frequent, or -1 if not.
+	ids     idTable
+	bitmaps []uint64
 
 	shared  eclatShared
 	scratch eclatScratch
 }
 
-func newEclatMiner() *eclatMiner {
-	return &eclatMiner{dedup: make(map[string]int32)}
-}
-
-func (m *eclatMiner) mine(txs [][]ingredient.ID, minSupport float64, workers int) (*Result, error) {
-	if err := m.prepare(txs, minSupport); err != nil {
+// transactionSupports is MineSupports: the input checks, one counting
+// pass through the ID table, then one dense tidset bitmap per frequent
+// item, mined by bitmapSupports. Rows follow the table's slot order;
+// the support series does not depend on item order.
+func (m *eclatMiner) transactionSupports(txs [][]ingredient.ID, minSupport float64) ([]float64, error) {
+	if err := checkSupport(minSupport); err != nil {
 		return nil, err
 	}
-	res := &Result{N: len(txs)}
-	if res.N == 0 {
-		return res, nil
-	}
-	if err := eclatRun(&m.shared, &m.scratch, res, workers); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// mineSupports is mine(txs, minSupport, 0).Supports() without the
-// itemsets: the serial walk emits only each set's count. The canonical
-// order's primary key is descending count, so the support series is
-// the multiset of counts sorted descending, each divided by n — the
-// same float64 division Supports performs, hence the same bytes.
-func (m *eclatMiner) mineSupports(txs [][]ingredient.ID, minSupport float64) ([]float64, error) {
-	if err := m.prepare(txs, minSupport); err != nil {
+	if err := validateTransactions(txs); err != nil {
 		return nil, err
 	}
 	n := len(txs)
 	if n == 0 {
 		return []float64{}, nil
 	}
-	sh := &m.shared
-	s := &m.scratch
-	s.sh = sh
-	s.counts = s.counts[:0]
-	for _, ic := range sh.freq {
-		s.counts = append(s.counts, int32(ic.count))
-	}
-	s.countOnly = true
-	for a := 0; a+1 < len(sh.freq); a++ {
-		s.top(a)
-	}
-	s.countOnly = false
-	slices.Sort(s.counts)
-	out := make([]float64, len(s.counts))
-	for i, c := range s.counts {
-		out[len(out)-1-i] = float64(c) / float64(n)
-	}
-	return out, nil
-}
-
-// prepare is the per-mine work shared by mine and mineSupports: the
-// input checks, the counting pass, the frequent items in mining order,
-// the transaction dedup and the bitmap layout. With no transactions it
-// stops after the checks.
-func (m *eclatMiner) prepare(txs [][]ingredient.ID, minSupport float64) error {
-	if err := checkSupport(minSupport); err != nil {
-		return err
-	}
-	if err := validateTransactions(txs); err != nil {
-		return err
-	}
-	n := len(txs)
-	if n == 0 {
-		return nil
-	}
-	sh := &m.shared
-	sh.mc = minCount(n, minSupport)
-
+	mc := minCount(n, minSupport)
 	t := &m.ids
 	t.reset()
 	for _, tx := range txs {
@@ -346,35 +286,127 @@ func (m *eclatMiner) prepare(txs [][]ingredient.ID, minSupport float64) error {
 			t.inc(it)
 		}
 	}
-	sh.freq = sh.freq[:0]
+	rows := 0
 	for i, c := range t.vals {
-		if int(c) >= sh.mc {
-			sh.freq = append(sh.freq, itemCount{t.keys[i], int(c)})
+		if int(c) >= mc {
+			rows++
+			t.vals[i] = int32(rows)
 		} else if c != 0 {
 			t.vals[i] = -1
 		}
 	}
-	// Item order: ascending count, ties by ascending ID — the standard
-	// Eclat order, keeping early intersections small so classes thin out
-	// fast. Any fixed order yields the same canonical Result.
-	sort.Slice(sh.freq, func(i, j int) bool {
-		if sh.freq[i].count != sh.freq[j].count {
-			return sh.freq[i].count < sh.freq[j].count
+	words := (n + 63) / 64
+	m.bitmaps = slices.Grow(m.bitmaps[:0], rows*words)[:rows*words]
+	clear(m.bitmaps)
+	for tid, tx := range txs {
+		word, bit := tid>>6, uint64(1)<<(tid&63)
+		for _, it := range tx {
+			if r := t.get(it); r > 0 {
+				m.bitmaps[int(r-1)*words+word] |= bit
+			}
 		}
-		return sh.freq[i].item < sh.freq[j].item
-	})
-	for j, ic := range sh.freq {
-		t.vals[t.slot(ic.item)] = int32(j) + 1
 	}
-
-	m.dedupTransactions(txs)
-	m.buildBitmaps()
-	return nil
+	return m.bitmapSupports(m.bitmaps, n, minSupport)
 }
 
-// eclatRun is the expansion phase shared by the raw and indexed paths:
-// singletons from the frequent-item counts, then every top-level prefix
-// partition, serially or fanned out over the scheduler, leaving
+// bitmapSupports is MineBitmapSupports: it checks the layout, counts
+// each row by popcount, orders the frequent rows and runs the serial
+// count-only walk over them unweighted, tallying every set's count in a
+// histogram. The canonical order's primary key is descending count, so
+// the support series is the multiset of counts in descending order,
+// each divided by n — the same float64 division Result.Supports
+// performs, hence the same bytes.
+func (m *eclatMiner) bitmapSupports(bm []uint64, n int, minSupport float64) ([]float64, error) {
+	if err := checkSupport(minSupport); err != nil {
+		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("itemset: negative transaction count %d", n)
+	}
+	if n == 0 {
+		if len(bm) != 0 {
+			return nil, fmt.Errorf("itemset: %d bitmap words over no transactions", len(bm))
+		}
+		return []float64{}, nil
+	}
+	words := (n + 63) / 64
+	if len(bm)%words != 0 {
+		return nil, fmt.Errorf("itemset: %d bitmap words is not a whole number of %d-word tidsets", len(bm), words)
+	}
+	var tail uint64 // bits past transaction n-1 in a row's last word
+	if n&63 != 0 {
+		tail = ^uint64(0) << (n & 63)
+	}
+	sh := &m.shared
+	sh.mc = minCount(n, minSupport)
+	sh.words = words
+	sh.freq = sh.freq[:0]
+	for row := 0; row < len(bm)/words; row++ {
+		tids := bm[row*words : (row+1)*words]
+		if tids[words-1]&tail != 0 {
+			return nil, fmt.Errorf("itemset: tidset %d has bits past transaction %d", row, n-1)
+		}
+		c := 0
+		for _, w := range tids {
+			c += bits.OnesCount64(w)
+		}
+		if c >= sh.mc {
+			// The row index stands in for the item: a count-only walk
+			// never reads it back as an ingredient.
+			sh.freq = append(sh.freq, itemCount{ingredient.ID(row), c})
+		}
+	}
+	// Item order: ascending count, ties by ascending row — the standard
+	// Eclat order, keeping early intersections small so classes thin out
+	// fast.
+	slices.SortFunc(sh.freq, func(a, b itemCount) int {
+		if a.count != b.count {
+			return a.count - b.count
+		}
+		return int(a.item) - int(b.item)
+	})
+	sh.posts = sh.posts[:0]
+	for _, ic := range sh.freq {
+		row := int(ic.item)
+		sh.posts = append(sh.posts, posting{
+			kind: containerBitset,
+			card: int32(ic.count),
+			bits: bm[row*words : (row+1)*words],
+		})
+	}
+
+	s := &m.scratch
+	s.sh = sh
+	s.hist = slices.Grow(s.hist[:0], n+1)[:n+1]
+	clear(s.hist)
+	for _, ic := range sh.freq {
+		s.hist[ic.count]++
+	}
+	s.countOnly = true
+	for a := 0; a+1 < len(sh.freq); a++ {
+		s.top(a)
+	}
+	s.countOnly = false
+	// Drop the views into the caller's bitmaps so a pooled miner never
+	// pins them.
+	clear(sh.posts)
+	sh.posts = sh.posts[:0]
+	total := 0
+	for _, k := range s.hist {
+		total += int(k)
+	}
+	out := make([]float64, 0, total)
+	for c := n; c >= sh.mc; c-- {
+		sup := float64(c) / float64(n)
+		for k := s.hist[c]; k > 0; k-- {
+			out = append(out, sup)
+		}
+	}
+	return out, nil
+}
+
+// eclatRun is the expansion phase of indexed mining: singletons from
+// the frequent-item counts, then every top-level prefix partition, serially or fanned out over the scheduler, leaving
 // res.Sets canonically sorted.
 func eclatRun(sh *eclatShared, s *eclatScratch, res *Result, workers int) error {
 	s.sh = sh
@@ -504,100 +536,4 @@ func (s *eclatScratch) emitSingleton(ic itemCount) {
 	s.arenaFree = s.arenaFree[1:]
 	items[0] = ic.item
 	s.sets = append(s.sets, Itemset{Items: items, Count: ic.count})
-}
-
-// dedupTransactions projects every transaction onto the frequent items
-// and collapses identical projections into (transaction, weight) pairs.
-// Transactions ascend by ID, so a projection listed in ID order is
-// already a canonical dedup key; its order indices need no sort, since
-// buildBitmaps only sets bits. Replicate pools are copies by
-// construction, so the unique-transaction count (and with it every
-// bitmap's length) is typically several-fold smaller than the input.
-func (m *eclatMiner) dedupTransactions(txs [][]ingredient.ID) {
-	sh := &m.shared
-	clear(m.dedup)
-	m.txArena = m.txArena[:0]
-	m.txOff = append(m.txOff[:0], 0)
-	sh.weights = sh.weights[:0]
-	wide := len(sh.freq) > 0xffff
-	buf := m.buf[:0]
-	for _, tx := range txs {
-		buf = buf[:0]
-		for _, it := range tx {
-			if v := m.ids.get(it); v > 0 {
-				buf = append(buf, v-1)
-			}
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		m.keyBuf = m.keyBuf[:0]
-		if wide {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-			}
-		} else {
-			for _, v := range buf {
-				m.keyBuf = append(m.keyBuf, byte(v>>8), byte(v))
-			}
-		}
-		if u, ok := m.dedup[string(m.keyBuf)]; ok {
-			sh.weights[u]++
-			continue
-		}
-		m.dedup[string(m.keyBuf)] = int32(len(sh.weights))
-		m.txArena = append(m.txArena, buf...)
-		m.txOff = append(m.txOff, int32(len(m.txArena)))
-		sh.weights = append(sh.weights, 1)
-	}
-	m.buf = buf[:0]
-	sh.weighted = false
-	for _, w := range sh.weights {
-		if w > 1 {
-			sh.weighted = true
-			break
-		}
-	}
-}
-
-// buildBitmaps lays out one dense tidset bitmap per frequent item over
-// the unique transaction ids, all in one contiguous arena, and exposes
-// them as bitset posting views. The raw path stays uniformly dense on
-// purpose: a per-mine build has no cardinality statistics worth a
-// second pass (the adaptive containers live in the build-once Index,
-// where the layout cost amortizes), and all-bitset postings make the
-// expansion byte-identical in work to the pre-container kernel. The
-// weights slice is padded to a whole word so the weighted intersect
-// loop can index by bit position without bounds branches.
-func (m *eclatMiner) buildBitmaps() {
-	sh := &m.shared
-	u := len(sh.weights)
-	sh.words = (u + 63) / 64
-	need := len(sh.freq) * sh.words
-	if cap(m.bitmapArena) < need {
-		m.bitmapArena = make([]uint64, need)
-	}
-	m.bitmapArena = m.bitmapArena[:need]
-	for i := range m.bitmapArena {
-		m.bitmapArena[i] = 0
-	}
-	for t := 0; t+1 < len(m.txOff); t++ {
-		word, bit := uint64(t>>6), uint64(t&63)
-		for _, j := range m.txArena[m.txOff[t]:m.txOff[t+1]] {
-			m.bitmapArena[int(j)*sh.words+int(word)] |= 1 << bit
-		}
-	}
-	sh.posts = sh.posts[:0]
-	for j := range sh.freq {
-		sh.posts = append(sh.posts, posting{
-			kind: containerBitset,
-			card: -1, // unknown; never consulted for bitset×bitset pairs
-			bits: m.bitmapArena[j*sh.words : (j+1)*sh.words],
-		})
-	}
-	if sh.weighted {
-		for len(sh.weights) < sh.words*64 {
-			sh.weights = append(sh.weights, 0)
-		}
-	}
 }

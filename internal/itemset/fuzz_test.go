@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -64,14 +65,30 @@ func decodeFuzzCorpus(data []byte) ([][]ingredient.ID, float64) {
 	return txs, minSupport
 }
 
+// tidsetRows lays txs out as the dense per-item tidset bitmaps
+// MineBitmapSupports takes: row it (for every item it < rows) holds bit
+// t when transaction t contains it.
+func tidsetRows(txs [][]ingredient.ID, rows int) []uint64 {
+	words := (len(txs) + 63) / 64
+	bm := make([]uint64, rows*words)
+	for t, tx := range txs {
+		for _, it := range tx {
+			bm[int(it)*words+t>>6] |= 1 << (t & 63)
+		}
+	}
+	return bm
+}
+
 // FuzzMineKernels decodes arbitrary bytes into a bounded transaction
 // corpus and checks that Mine and MineIndexed (serial and parallel)
 // produce results byte-identical to the Apriori oracle in canonical
-// order, and that every reported itemset's count matches a
-// brute-force recount over the raw transactions. The seed corpus in
-// testdata/fuzz/FuzzMineKernels covers the shapes that stress the
-// kernel: duplicate-heavy (dedup arena + weighted popcounts), dense
-// single transactions (deep DFS), and sparse long tails.
+// order, that MineSupports and MineBitmapSupports over the corpus laid
+// out as per-item bitmaps return the oracle's support series, and that
+// every reported itemset's count matches a brute-force recount over the
+// raw transactions. The seed corpus in testdata/fuzz/FuzzMineKernels
+// covers the shapes that stress the kernel: duplicate-heavy (the
+// Index's dedup arena and weighted popcounts behind Mine), dense single
+// transactions (deep DFS), and sparse long tails.
 func FuzzMineKernels(f *testing.F) {
 	seed := func(support byte, txs ...[]byte) {
 		data := []byte{support}
@@ -98,6 +115,13 @@ func FuzzMineKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		txs, minSupport := decodeFuzzCorpus(data)
 		res := allKernels(t, txs, minSupport, "fuzz")
+		sups, err := MineBitmapSupports(tidsetRows(txs, fuzzItemAlphabet), len(txs), minSupport)
+		if err != nil {
+			t.Fatalf("bitmap supports: %v", err)
+		}
+		if want := res.Supports(); !reflect.DeepEqual(want, sups) {
+			t.Fatalf("MineBitmapSupports diverges from apriori\napriori: %v\nbitmaps: %v", want, sups)
+		}
 		// Independent recount: every reported itemset must hit its exact
 		// support in the raw (pre-dedup) corpus and clear the threshold.
 		mc := minCount(len(txs), minSupport)

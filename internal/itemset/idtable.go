@@ -15,7 +15,7 @@ const idTableInitSlots = 256
 // replaced on reset, so later small mines do not clear it every time.
 const idTableRetainSlots = 1 << 16
 
-// idTable is the raw miner's ingredient.ID → int32 table: open
+// idTable is MineSupports' ingredient.ID → int32 table: open
 // addressing with linear probing over power-of-two slot arrays, homed
 // by Fibonacci hashing, so any int32 ID (negative, sparse or spread
 // over a wide span) takes the same path. A zero value marks an empty

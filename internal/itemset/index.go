@@ -109,8 +109,8 @@ func buildIndexWith(txs [][]ingredient.ID, denseOnly bool) (*Index, error) {
 		ix.pos[ic.item] = int32(p)
 	}
 
-	// Dedup identical transactions into (transaction, weight) pairs —
-	// the same collapse raw Mine redoes per mine, done once.
+	// Dedup identical transactions into (transaction, weight) pairs,
+	// once per corpus: category views repeat many transactions.
 	dedup := make(map[string]int32, len(txs))
 	wide := len(ix.items) > 0xffff
 	keyBuf := make([]byte, 0, 64)

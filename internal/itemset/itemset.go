@@ -1,20 +1,23 @@
 // Package itemset implements frequent-itemset mining over recipe
 // transactions: the combinations "of size 1 and greater which appeared in
 // at least 5% of all recipes in a cuisine" (paper, §IV). Mine,
-// MineIndexed and the count-only MineSupports run one kernel, Eclat
-// (Zaki's vertical tidset miner); the level-wise Apriori in the package
-// tests is its oracle, and the differential and fuzz tests pin them to
-// byte-identical canonical results.
+// MineIndexed and the count-only MineSupports and MineBitmapSupports run
+// one kernel, Eclat (Zaki's vertical tidset miner); the level-wise
+// Apriori in the package tests is its oracle, and the differential and
+// fuzz tests pin them to byte-identical canonical results.
 //
-// The vertical layout is built over the deduped transaction arena: the
-// transactions are projected onto the frequent items, identical
-// projections collapse into one transaction id with a weight, and each
-// frequent item gets a tidset container over those unique ids. Support
-// of an extension is then one intersection + popcount (weight-summed
-// when duplicates exist). Depth-first expansion walks prefix
-// equivalence classes; all container and class scratch is pooled per
-// depth, so steady-state mining allocates almost nothing beyond the
-// Result.
+// Itemsets come from one path: Mine is BuildIndex plus MineIndexed. The
+// Index projects the transactions onto item positions, collapses
+// identical ones into one transaction id with a weight, and gives each
+// item a tidset container over those unique ids; support of an
+// extension is then one intersection + popcount (weight-summed when
+// duplicates exist). The count-only entries skip all of that: they mine
+// one dense, unweighted tidset bitmap per frequent item, either laid out
+// from transactions (MineSupports) or handed over ready-made
+// (MineBitmapSupports, which the replicate ensembles fill straight from
+// the simulator). Depth-first expansion walks prefix equivalence
+// classes; all container and class scratch is pooled per depth, so
+// steady-state mining allocates almost nothing beyond the result.
 package itemset
 
 import (

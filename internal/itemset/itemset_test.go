@@ -182,6 +182,43 @@ func TestUnsortedTransactionRejected(t *testing.T) {
 	}
 }
 
+// TestMineBitmapSupportsRejectsBadLayout: the vertical entry checks
+// its support, transaction count and row layout, and reports no
+// tidset words over no transactions as the empty series.
+func TestMineBitmapSupportsRejectsBadLayout(t *testing.T) {
+	bad := []struct {
+		name string
+		bm   []uint64
+		n    int
+		sup  float64
+	}{
+		{"bad support", []uint64{1}, 1, math.NaN()},
+		{"negative n", nil, -1, 0.5},
+		{"words over no transactions", []uint64{0}, 0, 0.5},
+		{"partial row", []uint64{1, 1, 1}, 65, 0.5},
+		{"bit past n", []uint64{1 << 3}, 3, 0.5},
+	}
+	for _, c := range bad {
+		if _, err := MineBitmapSupports(c.bm, c.n, c.sup); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	got, err := MineBitmapSupports(nil, 0, 0.5)
+	if err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("no transactions: got %v, %v; want an empty series", got, err)
+	}
+	// Rows past the last item and all-zero rows change nothing.
+	txs := classicTxs()
+	want, err := MineSupports(txs, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = MineBitmapSupports(tidsetRows(txs, 9), len(txs), 0.2)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("classic: got %v, %v; want %v", got, err, want)
+	}
+}
+
 func TestSingleTransaction(t *testing.T) {
 	res, err := mineRaw([][]ingredient.ID{tx(1, 2, 3)}, 1.0)
 	if err != nil {

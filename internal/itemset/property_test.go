@@ -123,15 +123,16 @@ func TestMineAprioriEquivalence(t *testing.T) {
 	}
 }
 
-// TestMinerScratchReuseIsClean: a single reused miner must produce
-// results identical to fresh package-level calls, and earlier results
-// must stay intact after later mines (no aliasing into recycled
-// scratch).
+// TestMinerScratchReuseIsClean: a single reused count-only miner must
+// produce the support series of fresh Mine calls, and earlier results
+// of both must stay intact after later mines (no aliasing into
+// recycled scratch — the pooled query scratch behind Mine included).
 func TestMinerScratchReuseIsClean(t *testing.T) {
-	miner := newEclatMiner()
+	miner := new(eclatMiner)
 	src := randx.New(17)
 	var kept []*Result
 	var want []map[string]int
+	var keptSups, wantSups [][]float64
 	for trial := 0; trial < 10; trial++ {
 		txs := make([][]ingredient.ID, 80)
 		for i := range txs {
@@ -141,19 +142,24 @@ func TestMinerScratchReuseIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := miner.mine(txs, 0.05, 0)
+		got, err := miner.transactionSupports(txs, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fresh.Sets, got.Sets) {
+		if !reflect.DeepEqual(fresh.Supports(), got) {
 			t.Fatalf("trial %d: reused miner diverged from fresh call", trial)
 		}
-		kept = append(kept, got)
-		want = append(want, setsAsMap(got))
+		kept = append(kept, fresh)
+		want = append(want, setsAsMap(fresh))
+		keptSups = append(keptSups, got)
+		wantSups = append(wantSups, append([]float64(nil), got...))
 	}
 	for i, res := range kept {
 		if !reflect.DeepEqual(setsAsMap(res), want[i]) {
 			t.Fatalf("result %d mutated by later mines", i)
+		}
+		if !reflect.DeepEqual(keptSups[i], wantSups[i]) {
+			t.Fatalf("support series %d mutated by later mines", i)
 		}
 	}
 }
